@@ -21,6 +21,10 @@ POSITIVE = 1
 NEGATIVE = -1
 IGNORE = 0
 
+# decoded sizes grow at most 1000/16-fold over the anchor's (the clip of
+# Faster R-CNN's box decoder); unclamped, a log-size delta past ~710 gives inf
+MAX_LOG_SIZE_DELTA = math.log(1000.0 / 16)
+
 
 @dataclass(frozen=True)
 class AnchorSpec:
@@ -187,6 +191,7 @@ def decode_rpn(delta: np.ndarray, anchor: Box3D, d_a: float) -> Box3D:
     if d_a <= 0:
         raise ValueError("anchor diagonal must be positive")
     dx, dy, dz, dh, dw, dl, dt = (float(v) for v in delta)
+    dh, dw, dl = (min(v, MAX_LOG_SIZE_DELTA) for v in (dh, dw, dl))
     return Box3D(
         anchor.x + dx * d_a,
         anchor.y + dy * d_a,
@@ -199,14 +204,16 @@ def decode_rpn(delta: np.ndarray, anchor: Box3D, d_a: float) -> Box3D:
 
 
 def decode_rpn_batch(deltas: np.ndarray, boxes: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Vectorized decode for (N, 7) deltas against (N, 7) anchor rows."""
+    """Vectorized decode for (N, 7) deltas against (N, 7) anchor rows;
+    log-size deltas are clamped at MAX_LOG_SIZE_DELTA, as in decode_rpn."""
     out = np.empty_like(boxes)
     out[:, 0] = boxes[:, 0] + deltas[:, 0] * diag
     out[:, 1] = boxes[:, 1] + deltas[:, 1] * diag
     out[:, 2] = boxes[:, 2] + deltas[:, 2] * boxes[:, 5]
-    out[:, 5] = boxes[:, 5] * np.exp(deltas[:, 3])
-    out[:, 4] = boxes[:, 4] * np.exp(deltas[:, 4])
-    out[:, 3] = boxes[:, 3] * np.exp(deltas[:, 5])
+    dh, dw, dl = np.minimum(deltas[:, 3:6], MAX_LOG_SIZE_DELTA).T
+    out[:, 5] = boxes[:, 5] * np.exp(dh)
+    out[:, 4] = boxes[:, 4] * np.exp(dw)
+    out[:, 3] = boxes[:, 3] * np.exp(dl)
     theta = boxes[:, 6] + deltas[:, 6]
     out[:, 6] = np.mod(theta + np.pi, 2 * np.pi) - np.pi
     out[out[:, 6] == -np.pi, 6] = np.pi

@@ -320,6 +320,20 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
+def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
+    """Place row i of x at row indices[i] of a zero (size, ...) tensor.
+
+    The indices must be distinct; backward gathers the rows back.
+    """
+    x = as_tensor(x)
+    data = np.zeros((size,) + x.data.shape[1:])
+    data[indices] = x.data
+    out = _make((x,), data)
+    if out._parents:
+        out._backward = lambda g: (g[indices],)
+    return out
+
+
 def dilate(x: Tensor, factors) -> Tensor:
     """Insert (factor-1) zeros between elements along each axis (transposed-conv helper)."""
     x = as_tensor(x)

@@ -62,7 +62,7 @@ def cmd_voxelize(args) -> int:
     grid = voxelize(pc, spec, seed=cfg.seed)
     out = _out_dir(args) / f"{frame_id}.voxels"
     dump_grid(out, grid)
-    print(f"{frame_id}: {len(pc)} points -> {len(grid.points_by_voxel)} occupied voxels "
+    print(f"{frame_id}: {len(pc)} points -> {len(grid.coords)} occupied voxels "
           f"of {np.prod(grid.dims)} ({out})")
     return 0
 

@@ -137,14 +137,18 @@ def write_velodyne(path, pc: PointCloud) -> None:
     Path(path).write_bytes(pc.points.astype("<f4").tobytes())
 
 
-def crop_to_range(pc: PointCloud, axis_range: np.ndarray) -> PointCloud:
-    """Keep points with min <= coord < max on all three axes; order preserved."""
+def in_range(xyz: np.ndarray, axis_range) -> np.ndarray:
+    """(N,) mask of points with min <= coord < max on all three axes."""
     r = np.asarray(axis_range, dtype=np.float64).reshape(3, 2)
     if np.any(r[:, 0] >= r[:, 1]):
         raise ValueError("each axis range must have min < max")
-    xyz = pc.points[:, :3]
-    mask = np.all((xyz >= r[:, 0]) & (xyz < r[:, 1]), axis=1)
-    return PointCloud(pc.points[mask])
+    return np.all((xyz >= r[:, 0]) & (xyz < r[:, 1]), axis=1)
+
+
+def crop_to_range(pc: PointCloud, axis_range: np.ndarray) -> PointCloud:
+    """Keep the points ``in_range``; order preserved. Every kept point is
+    voxelizable on a grid over the same range."""
+    return PointCloud(pc.points[in_range(pc.points[:, :3], axis_range)])
 
 
 # ------------------------------------------------------------------- labels

@@ -6,11 +6,12 @@ convolution is zero-dilation plus a flipped-kernel convolution. Layouts
 are channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
-voxel, six 3D conv layers collapsing Z to 1, three 2D conv blocks, three
-deconvolution branches fused by channel concat, and 1x1 classification /
-regression heads. The refiner is a PointNet over canonized in-box points
-whose coordinate embedding is fused with indexed backbone features
-through a learned sigmoid attention gate.
+occupied voxel, scattered into the dense grid, six 3D conv layers
+collapsing Z to 1, three 2D conv blocks, three deconvolution branches
+fused by channel concat, and 1x1 classification / regression heads. The
+refiner is a PointNet over canonized in-box points whose coordinate
+embedding is fused with indexed backbone features through a learned
+sigmoid attention gate.
 """
 
 from __future__ import annotations
@@ -367,23 +368,33 @@ class VoxelRPN:
     def _p(self, name):
         return self.params.tensors[name]
 
-    def encode_voxels(self, dense: np.ndarray, counts: np.ndarray, train: bool) -> Tensor:
-        """Per-point MLP + masked max-pool; (nx, ny, nz, cap, 4) -> (C, nx, ny, nz)."""
-        nx, ny, nz, cap, _ = dense.shape
-        v = nx * ny * nz
-        x = Tensor(dense.reshape(v * cap, 4))
+    def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
+                      dims: tuple, train: bool) -> Tensor:
+        """Per-point MLP + masked max-pool over the occupied voxels, scattered
+        into the grid: (V, cap, 4) slots -> (C, nx, ny, nz), empty voxels zero.
+
+        counts (V,) are the stored points per voxel (each >= 1) and coords
+        (V, 3) the distinct voxel indices.
+        """
+        v, cap, _ = slots.shape
+        if counts.shape != (v,) or coords.shape != (v, 3) or np.any(counts < 1):
+            raise ShapeMismatch(f"slots {slots.shape}, counts {counts.shape}, "
+                                f"coords {coords.shape}: need V occupied voxels")
+        c = self.cfg.encoder_channels
+        x = Tensor(slots.reshape(v * cap, 4))
         h = ad.relu(linear(x, self._p("rpn/encoder/w"), self._p("rpn/encoder/b")))
         slot = (np.arange(cap)[None, :] < counts.reshape(v, 1)).reshape(v * cap, 1)
         h = h + Tensor((~slot) * _NEG_BIG)
-        pooled = h.reshape(v, cap, self.cfg.encoder_channels).max(axis=1)
-        occupied = (counts.reshape(v, 1) > 0).astype(np.float64)
-        pooled = pooled * Tensor(occupied)
-        return pooled.reshape(nx, ny, nz, self.cfg.encoder_channels).transpose((3, 0, 1, 2))
+        pooled = h.reshape(v, cap, c).max(axis=1)
+        cells = ad.scatter(pooled, np.ravel_multi_index(coords.T, dims), int(np.prod(dims)))
+        return cells.reshape(tuple(dims) + (c,)).transpose((3, 0, 1, 2))
 
-    def forward(self, dense: np.ndarray, counts: np.ndarray, train: bool = False):
-        """Returns (cls_map (H_f, W_f, A), reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
+    def forward(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
+                dims: tuple, train: bool = False):
+        """Voxel grid (as for encode_voxels) -> (cls_map (H_f, W_f, A),
+        reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
         cfg = self.cfg
-        x = self.encode_voxels(dense, counts, train)
+        x = self.encode_voxels(slots, counts, coords, dims, train)
         for i, ly in enumerate(cfg.conv3d):
             x = conv_nd(x, self._p(f"rpn/conv3d{i}/w"), self._p(f"rpn/conv3d{i}/b"),
                         ly.stride, ly.padding)

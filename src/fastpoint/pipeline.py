@@ -14,7 +14,8 @@ from .anchors import build_anchor_grid
 from .config import PipelineConfig
 from .kitti import PointCloud
 from .nn import RefinerNet, VoxelRPN
-from .postprocess import Detection, corners_to_box, decode_detections, nms_rotated
+from .postprocess import (DegenerateCorners, Detection, corners_to_box,
+                          decode_detections, nms_rotated)
 from .voxels import slot_counts, to_dense, voxelize
 
 
@@ -35,11 +36,11 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
 
     t0 = time.perf_counter()
     grid = voxelize(pc, spec, seed=cfg.seed)
-    dense, counts = to_dense(grid), slot_counts(grid)
+    slots, counts = to_dense(grid), slot_counts(grid)
     times["voxelize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cls_map, reg_map, fused = rpn.forward(dense, counts, train=False)
+    cls_map, reg_map, fused = rpn.forward(slots, counts, grid.coords, grid.dims, train=False)
     times["rpn_forward"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -69,7 +70,10 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
             continue
         pred = refiner.forward(bf.coords, bf.feats, train=False)
         corners = geometry.uncanonize_points(det.box, pred.data.reshape(8, 3))
-        refined.append(Detection(corners_to_box(corners), det.score, det.cls))
+        try:
+            refined.append(Detection(corners_to_box(corners), det.score, det.cls))
+        except DegenerateCorners:
+            refined.append(det)      # collapsed corners fit no box
     times["refine"] = time.perf_counter() - t0
     return FrameResult(frame_id, refined, proposals, times)
 

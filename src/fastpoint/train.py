@@ -94,8 +94,9 @@ class PreparedFrame:
     frame_id: str
     pc: PointCloud
     gts: list
-    dense: np.ndarray
-    counts: np.ndarray
+    slots: np.ndarray       # (V, cap, 4) points of the occupied voxels
+    counts: np.ndarray      # (V,) stored points per voxel
+    coords: np.ndarray      # (V, 3) voxel indices
     assignment: object
 
 
@@ -106,7 +107,7 @@ def prepare_frames(frames: list, cfg: PipelineConfig, anchor_set) -> list:
     for i, (frame_id, pc, gts) in enumerate(frames):
         grid = voxelize(pc, spec, seed=cfg.seed * 7919 + i)
         out.append(PreparedFrame(
-            frame_id, pc, gts, to_dense(grid), slot_counts(grid),
+            frame_id, pc, gts, to_dense(grid), slot_counts(grid), grid.coords,
             assign_targets(anchor_set, gts, cfg.anchors.pos_iou, cfg.anchors.neg_iou)))
     return out
 
@@ -114,7 +115,8 @@ def prepare_frames(frames: list, cfg: PipelineConfig, anchor_set) -> list:
 def rpn_loss(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig, train: bool = True):
     from . import autodiff as ad
 
-    cls_map, reg_map, _ = rpn.forward(frame.dense, frame.counts, train=train)
+    cls_map, reg_map, _ = rpn.forward(frame.slots, frame.counts, frame.coords,
+                                      cfg.voxel_spec().dims, train=train)
     probs = cls_map.reshape(-1)
     asn = frame.assignment
     pos_idx = asn.positive_indices
@@ -157,7 +159,8 @@ def select_proposals(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig,
     """Post-NMS top-K proposals plus the fused feature map (eval mode)."""
     from .postprocess import decode_detections
 
-    cls_map, reg_map, fused = rpn.forward(frame.dense, frame.counts, train=False)
+    cls_map, reg_map, fused = rpn.forward(frame.slots, frame.counts, frame.coords,
+                                          cfg.voxel_spec().dims, train=False)
     dets = decode_detections(cls_map.data, reg_map.data, anchor_set,
                              cfg.post.score_thresh)
     if not dets:

@@ -1,6 +1,8 @@
-"""Dense voxelization of a cropped point cloud.
+"""Sparse voxelization of a cropped point cloud.
 
-Stored per-point feature is (dx, dy, dz from voxel center, reflectance).
+A grid holds only its occupied voxels, as sorted arrays: voxel indices,
+a (V, cap, 4) block of stored points and per-voxel counts. Stored
+per-point feature is (dx, dy, dz from voxel center, reflectance).
 Overflowing voxels keep a seeded uniform random subset so runs replay
 exactly.
 """
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kitti import PointCloud
+from .kitti import PointCloud, in_range
 
 _DUMP_MAGIC = b"FPVX"
 _DUMP_VERSION = 1
@@ -46,85 +48,69 @@ class VoxelSpec:
     def mins(self) -> np.ndarray:
         return np.array([r[0] for r in self.axis_range])
 
-    def voxel_center(self, idx) -> np.ndarray:
-        return self.mins + (np.asarray(idx) + 0.5) * np.asarray(self.voxel_size)
-
 
 @dataclass
 class VoxelGrid:
+    """The occupied voxels of one cloud, in ascending (x, y, z) index order."""
+
     spec: VoxelSpec
-    # voxel index -> stored (n, 4) offsets-from-center + reflectance
-    points_by_voxel: dict
-    # pre-capping point count per occupied voxel
-    counts: dict
+    coords: np.ndarray   # (V, 3) int64 voxel indices
+    points: np.ndarray   # (V, cap, 4) offsets-from-center + reflectance; spare slots zero
+    stored: np.ndarray   # (V,) points kept per voxel, at most cap
+    counts: np.ndarray   # (V,) points per voxel before capping
 
     @property
     def dims(self) -> tuple:
         return self.spec.dims
 
-    def stored_count(self, idx) -> int:
-        pts = self.points_by_voxel.get(tuple(idx))
-        return 0 if pts is None else len(pts)
-
 
 def voxelize(pc: PointCloud, spec: VoxelSpec, seed: int) -> VoxelGrid:
-    """Bucket points into voxels; cap each voxel at max_points_per_voxel."""
-    dims = np.array(spec.dims)
+    """Bucket points into voxels; cap each voxel at max_points_per_voxel.
+
+    A point belongs to the grid when it passes ``kitti.in_range`` (the rule
+    ``crop_to_range`` keeps by). Its index is floor((p - min) / size),
+    clamped to the last cell: rounding can carry a coordinate just below
+    the upper edge onto index ``dims``.
+    """
     pts = pc.points
-    idx = np.floor((pts[:, :3] - spec.mins) / np.asarray(spec.voxel_size)).astype(np.int64)
-    if len(pts) and (np.any(idx < 0) or np.any(idx >= dims)):
-        bad = np.where(np.any((idx < 0) | (idx >= dims), axis=1))[0][0]
-        raise PointOutOfRange(f"point {pts[bad, :3]} outside voxel range")
+    inside = in_range(pts[:, :3], spec.axis_range)
+    if not np.all(inside):
+        raise PointOutOfRange(f"point {pts[np.argmin(inside), :3]} outside voxel range")
+    vsize = np.asarray(spec.voxel_size)
+    idx = np.floor((pts[:, :3] - spec.mins) / vsize).astype(np.int64)
+    idx = np.minimum(idx, np.array(spec.dims) - 1)
 
-    order = {}
-    for i, key in enumerate(map(tuple, idx)):
-        order.setdefault(key, []).append(i)
-
-    rng = np.random.default_rng(seed)
-    points_by_voxel, counts = {}, {}
+    # sorted voxel order, input order within a voxel
+    flat = np.ravel_multi_index(idx.T, spec.dims)
+    order = np.argsort(flat, kind="stable")
+    _, first, counts = np.unique(flat[order], return_index=True, return_counts=True)
+    offsets = pts[order]
+    offsets[:, :3] -= spec.mins + (idx[order] + 0.5) * vsize
     cap = spec.max_points_per_voxel
-    # iterate in sorted voxel order, and sample overflowing voxels from their
-    # points in coordinate-sorted order, so the result is input-order independent
-    for key in sorted(order):
-        rows = order[key]
-        counts[key] = len(rows)
-        sel = pts[rows]
-        if len(rows) > cap:
-            sel = sel[np.lexsort(sel.T)]
-            sel = sel[np.sort(rng.choice(len(sel), size=cap, replace=False))]
-        center = spec.voxel_center(key)
-        stored = sel.copy()
-        stored[:, :3] = sel[:, :3] - center
-        points_by_voxel[key] = stored
-    return VoxelGrid(spec, points_by_voxel, counts)
+    rank = np.arange(len(pts)) - np.repeat(first, counts)
+    voxel = np.repeat(np.arange(len(counts)), counts)
+    points = np.zeros((len(counts), cap, 4))
+    fits = rank < cap
+    points[voxel[fits], rank[fits]] = offsets[fits]
+
+    # overflowing voxels keep a seeded subset of their points taken in
+    # coordinate-sorted order, so the result is input-order independent
+    rng = np.random.default_rng(seed)
+    for v in np.flatnonzero(counts > cap):
+        rows = slice(first[v], first[v] + counts[v])
+        pick = np.sort(rng.choice(int(counts[v]), size=cap, replace=False))
+        points[v] = offsets[rows][np.lexsort(pts[order[rows]].T)[pick]]
+    return VoxelGrid(spec, idx[order[first]], points, np.minimum(counts, cap), counts)
 
 
 def to_dense(grid: VoxelGrid) -> np.ndarray:
-    """(n_x, n_y, n_z, max_points, 4) array; empty slots zero."""
-    nx, ny, nz = grid.dims
-    cap = grid.spec.max_points_per_voxel
-    dense = np.zeros((nx, ny, nz, cap, 4))
-    for key, pts in grid.points_by_voxel.items():
-        dense[key][: len(pts)] = pts
-    return dense
+    """(V, cap, 4) encoder input of the occupied voxels, spare slots zero."""
+    return grid.points
 
 
 def slot_counts(grid: VoxelGrid) -> np.ndarray:
-    """(n_x, n_y, n_z) stored-point count per voxel."""
-    out = np.zeros(grid.dims, dtype=np.int64)
-    for key, pts in grid.points_by_voxel.items():
-        out[key] = len(pts)
-    return out
-
-
-def from_dense(dense: np.ndarray, counts: np.ndarray, spec: VoxelSpec) -> VoxelGrid:
-    """Re-sparsify a dense tensor (inverse of to_dense given counts)."""
-    points_by_voxel, pre = {}, {}
-    for key in zip(*np.nonzero(counts)):
-        n = int(counts[key])
-        points_by_voxel[key] = dense[key][:n].copy()
-        pre[key] = n
-    return VoxelGrid(spec, points_by_voxel, pre)
+    """(V,) stored-point count per occupied voxel."""
+    return grid.stored
 
 
 # ------------------------------------------------------------- binary dump
@@ -141,12 +127,11 @@ def dump_grid(path, grid: VoxelGrid) -> None:
         f.write(struct.pack("<6d", *flat_range))
         f.write(struct.pack("<3d", *spec.voxel_size))
         f.write(struct.pack("<I", spec.max_points_per_voxel))
-        f.write(struct.pack("<Q", len(grid.points_by_voxel)))
-        for key in sorted(grid.points_by_voxel):
-            pts = grid.points_by_voxel[key]
+        f.write(struct.pack("<Q", len(grid.coords)))
+        for key, n, pts in zip(grid.coords, grid.stored, grid.points):
             f.write(struct.pack("<3I", *key))
-            f.write(struct.pack("<I", len(pts)))
-            f.write(pts.astype("<f8").tobytes())
+            f.write(struct.pack("<I", n))
+            f.write(pts[:n].astype("<f8").tobytes())
 
 
 def load_grid(path) -> VoxelGrid:
@@ -165,12 +150,13 @@ def load_grid(path) -> VoxelGrid:
     spec = VoxelSpec(tuple((rng_vals[2 * i], rng_vals[2 * i + 1]) for i in range(3)),
                      tuple(vsize), cap)
     assert spec.dims == dims
-    points_by_voxel, counts = {}, {}
-    for _ in range(n_rec):
-        key = struct.unpack_from("<3I", raw, off); off += 12
+    coords = np.zeros((n_rec, 3), dtype=np.int64)
+    points = np.zeros((n_rec, cap, 4))
+    stored = np.zeros(n_rec, dtype=np.int64)
+    for v in range(n_rec):
+        coords[v] = struct.unpack_from("<3I", raw, off); off += 12
         (n,) = struct.unpack_from("<I", raw, off); off += 4
-        pts = np.frombuffer(raw, dtype="<f8", count=n * 4, offset=off).reshape(n, 4)
+        points[v, :n] = np.frombuffer(raw, dtype="<f8", count=n * 4, offset=off).reshape(n, 4)
         off += n * 32
-        points_by_voxel[key] = pts.copy()
-        counts[key] = n
-    return VoxelGrid(spec, points_by_voxel, counts)
+        stored[v] = n
+    return VoxelGrid(spec, coords, points, stored, stored.copy())

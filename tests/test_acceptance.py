@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fastpoint import augmentation, cli, geometry, losses, pipeline
+from fastpoint import autodiff as ad
 from fastpoint import train as train_mod
 from fastpoint.anchors import (build_anchor_grid, decode_corners, decode_rpn,
                                encode_corners, encode_rpn)
@@ -125,6 +126,15 @@ def test_gradients_deconv2d():
         b = Tensor(rng.normal(size=3), requires_grad=True)
         _fd_case(lambda: (deconv_nd(x, w, b, (2, 2), (1, 1)) ** 2).sum(),
                  [x, w, b], seed)
+
+
+def test_gradients_scatter():
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        rows = rng.permutation(7)[:4]
+        r = rng.normal(size=(7, 3))
+        _fd_case(lambda: ((ad.scatter(x, rows, 7) * r) ** 2).sum(), [x], seed)
 
 
 def test_gradients_batchnorm():

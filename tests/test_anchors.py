@@ -150,6 +150,19 @@ def test_decode_rpn_batch_matches_scalar():
         assert np.allclose(out[i], dec.as_array(), atol=1e-12)
 
 
+def test_decode_clamps_large_log_size_deltas():
+    anchors = grid()
+    deltas = np.zeros((len(anchors), 7))
+    deltas[:, 3:6] = [800.0, 4.0, -3.0]
+    out = A.decode_rpn_batch(deltas, anchors.boxes, anchors.diag)
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out[:, 5], anchors.boxes[:, 5] * 1000.0 / 16)   # h clamped
+    assert np.allclose(out[:, 4], anchors.boxes[:, 4] * math.exp(4.0))  # w below the clamp
+    assert np.allclose(out[:, 3], anchors.boxes[:, 3] * math.exp(-3.0))
+    dec = A.decode_rpn(deltas[0], Box3D.from_array(anchors.boxes[0]), float(anchors.diag[0]))
+    assert np.allclose(dec.as_array(), out[0], atol=1e-12)
+
+
 def test_corner_encoding_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(100):

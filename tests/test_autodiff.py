@@ -118,6 +118,14 @@ def test_take_scatter_adds_repeated_indices():
     assert np.array_equal(x.grad, np.array([2.0, 0.0, 1.0]))
 
 
+def test_scatter_places_rows_and_backward_gathers():
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    out = ad.scatter(x, np.array([2, 0]), 3)
+    assert np.array_equal(out.data, np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]]))
+    (out * Tensor(np.array([[1.0, 2.0], [5.0, 6.0], [3.0, 4.0]]))).sum().backward()
+    assert np.array_equal(x.grad, np.array([[3.0, 4.0], [1.0, 2.0]]))
+
+
 def test_dilate_inserts_zeros_and_backward_slices():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     d = ad.dilate(x, (2, 2))

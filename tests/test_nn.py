@@ -155,23 +155,45 @@ def tiny_cfg():
     return reference_netconfig(0.125, encoder_channels=4, num_anchors=4)
 
 
-def make_dense(rng, dims=(16, 16, 20), cap=3, n=120):
-    nx, ny, nz = dims
-    dense = np.zeros((nx, ny, nz, cap, 4))
-    counts = np.zeros(dims, dtype=np.int64)
+def make_voxels(rng, dims=(16, 16, 20), cap=3, n=120):
+    """Random occupied voxels: (slots (V, cap, 4), counts (V,), coords (V, 3))."""
+    cells = {}
     for _ in range(n):
-        i, j, k = rng.integers(0, nx), rng.integers(0, ny), rng.integers(0, nz)
-        if counts[i, j, k] < cap:
-            dense[i, j, k, counts[i, j, k]] = rng.normal(size=4)
-            counts[i, j, k] += 1
-    return dense, counts
+        key = tuple(int(rng.integers(0, d)) for d in dims)
+        pts = cells.setdefault(key, [])
+        if len(pts) < cap:
+            pts.append(rng.normal(size=4))
+    keys = sorted(cells)
+    slots = np.zeros((len(keys), cap, 4))
+    for v, key in enumerate(keys):
+        slots[v, :len(cells[key])] = cells[key]
+    counts = np.array([len(cells[k]) for k in keys], dtype=np.int64)
+    return slots, counts, np.array(keys, dtype=np.int64).reshape(-1, 3), dims
+
+
+def reference_dense_encode(rpn, slots, counts, coords, dims):
+    """The full-grid encoder the sparse one replaced: MLP over every slot of
+    a dense (nx, ny, nz, cap, 4) tensor, masked max-pool, empty voxels zeroed."""
+    nx, ny, nz = dims
+    cap = slots.shape[1]
+    dense = np.zeros((nx, ny, nz, cap, 4))
+    dense_counts = np.zeros(dims, dtype=np.int64)
+    dense[tuple(coords.T)] = slots
+    dense_counts[tuple(coords.T)] = counts
+    v = nx * ny * nz
+    x = Tensor(dense.reshape(v * cap, 4))
+    h = ad.relu(linear(x, rpn._p("rpn/encoder/w"), rpn._p("rpn/encoder/b")))
+    slot = (np.arange(cap)[None, :] < dense_counts.reshape(v, 1)).reshape(v * cap, 1)
+    h = h + Tensor((~slot) * nn._NEG_BIG)
+    pooled = h.reshape(v, cap, rpn.cfg.encoder_channels).max(axis=1)
+    pooled = pooled * Tensor((dense_counts.reshape(v, 1) > 0).astype(np.float64))
+    return pooled.reshape(nx, ny, nz, rpn.cfg.encoder_channels).transpose((3, 0, 1, 2))
 
 
 def test_voxelrpn_output_shapes_and_prob_range():
     rng = np.random.default_rng(6)
-    dense, counts = make_dense(rng)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    cls_map, reg_map, fused = rpn.forward(dense, counts, train=False)
+    cls_map, reg_map, fused = rpn.forward(*make_voxels(rng), train=False)
     assert cls_map.shape == (4, 4, 4)
     assert reg_map.shape == (4, 4, 4, 7)
     assert fused.shape[1:] == (4, 4)
@@ -180,41 +202,90 @@ def test_voxelrpn_output_shapes_and_prob_range():
 
 def test_voxelrpn_deterministic_per_seed():
     rng = np.random.default_rng(7)
-    dense, counts = make_dense(rng)
-    a = VoxelRPN(tiny_cfg(), seed=1).forward(dense, counts, train=False)
-    b = VoxelRPN(tiny_cfg(), seed=1).forward(dense, counts, train=False)
-    c = VoxelRPN(tiny_cfg(), seed=2).forward(dense, counts, train=False)
+    vox = make_voxels(rng)
+    a = VoxelRPN(tiny_cfg(), seed=1).forward(*vox, train=False)
+    b = VoxelRPN(tiny_cfg(), seed=1).forward(*vox, train=False)
+    c = VoxelRPN(tiny_cfg(), seed=2).forward(*vox, train=False)
     assert np.array_equal(a[0].data, b[0].data)
     assert not np.array_equal(a[0].data, c[0].data)
 
 
 def test_voxel_encoder_ignores_empty_slots():
     rng = np.random.default_rng(8)
-    dense, counts = make_dense(rng, n=30)
+    slots, counts, coords, dims = make_voxels(rng, n=30)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    ref = rpn.encode_voxels(dense, counts, train=False).data
+    ref = rpn.encode_voxels(slots, counts, coords, dims, train=False).data
     # garbage in unused slots must not leak into features
-    dirty = dense.copy()
-    mask = np.arange(dense.shape[3])[None, None, None, :] >= counts[..., None]
-    dirty[mask] = 99.0
-    got = rpn.encode_voxels(dirty, counts, train=False).data
+    dirty = slots.copy()
+    dirty[np.arange(slots.shape[1])[None, :] >= counts[:, None]] = 99.0
+    got = rpn.encode_voxels(dirty, counts, coords, dims, train=False).data
     assert np.allclose(got, ref)
 
 
 def test_voxel_encoder_empty_voxels_are_zero():
     rng = np.random.default_rng(9)
-    dense, counts = make_dense(rng, n=10)
+    slots, counts, coords, dims = make_voxels(rng, n=10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    feat = rpn.encode_voxels(dense, counts, train=False).data   # (C, nx, ny, nz)
-    empty = counts == 0
+    feat = rpn.encode_voxels(slots, counts, coords, dims, train=False).data
+    empty = np.ones(dims, dtype=bool)
+    empty[tuple(coords.T)] = False
     assert np.allclose(feat[:, empty], 0.0)
+
+
+def test_voxel_encoder_without_occupied_voxels_is_zero():
+    rpn = VoxelRPN(tiny_cfg(), seed=0)
+    feat = rpn.encode_voxels(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64),
+                             np.zeros((0, 3), dtype=np.int64), (16, 16, 20), train=False)
+    assert feat.shape == (4, 16, 16, 20)
+    assert not np.any(feat.data)
+
+
+def test_voxel_encoder_rejects_voxel_without_points():
+    rng = np.random.default_rng(11)
+    slots, counts, coords, dims = make_voxels(rng, n=10)
+    counts[0] = 0
+    with pytest.raises(nn.ShapeMismatch):
+        VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords, dims, train=False)
+
+
+def test_sparse_encoder_matches_dense_reference():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        vox = make_voxels(rng, dims=(16, 16, 20), n=200)
+        rpn = VoxelRPN(tiny_cfg(), seed=seed)
+        got = rpn.encode_voxels(*vox, train=False)
+        want = reference_dense_encode(rpn, *vox)
+        # -0.0 from zeroing empty voxels compares equal to the sparse path's 0.0
+        assert got.shape == want.shape
+        assert np.array_equal(got.data, want.data)
+
+
+def test_rpn_outputs_byte_equal_to_dense_encoder_path():
+    rng = np.random.default_rng(12)
+    vox = make_voxels(rng, dims=(32, 32, 20), n=400)
+    sparse = VoxelRPN(tiny_cfg(), seed=3)
+    dense = VoxelRPN(tiny_cfg(), seed=3)
+    dense.encode_voxels = lambda *args: reference_dense_encode(dense, *args[:4])
+    for train in (False, True):
+        got = sparse.forward(*vox, train=train)
+        want = dense.forward(*vox, train=train)
+        for g, w in zip(got, want):
+            assert g.data.tobytes() == w.data.tobytes()
+    for rpn, (cls_map, reg_map, _) in ((sparse, got), (dense, want)):
+        (cls_map.sum() + (reg_map * reg_map).sum()).backward()
+    for name in sparse.params.names():
+        g, w = sparse.params.tensors[name].grad, dense.params.tensors[name].grad
+        if name == "rpn/encoder/w":
+            # the dense path sums over every empty slot too: another order
+            assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+        else:
+            assert g.tobytes() == w.tobytes(), name
 
 
 def test_rpn_gradients_flow_to_all_parameters():
     rng = np.random.default_rng(10)
-    dense, counts = make_dense(rng, dims=(32, 32, 20), n=400)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    cls_map, reg_map, _ = rpn.forward(dense, counts, train=True)
+    cls_map, reg_map, _ = rpn.forward(*make_voxels(rng, dims=(32, 32, 20), n=400), train=True)
     (cls_map.sum() + (reg_map * reg_map).sum()).backward()
     missing = [n for n in rpn.params.names()
                if rpn.params.tensors[n].grad is None

@@ -1,6 +1,7 @@
 import numpy as np
 
 from fastpoint import pipeline
+from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.geometry import Box3D
 from fastpoint.nn import RefinerNet, VoxelRPN
@@ -37,6 +38,26 @@ def test_infer_frame_skip_refiner_returns_proposals():
     res = infer_frame(frame_id, pc, rpn, None, cfg, skip_refiner=True)
     assert res.detections == res.proposals
     assert "refine" not in res.stage_times
+
+
+class CollapsedRefiner:
+    """Predicts all eight corners at the proposal center."""
+
+    calls = 0
+
+    def forward(self, coords, feats, train=False):
+        self.calls += 1
+        return Tensor(np.zeros(24))
+
+
+def test_infer_frame_keeps_proposal_when_corners_degenerate():
+    cfg = toy_config()
+    frame_id, pc, _ = toy_frame(cfg)
+    rpn = VoxelRPN(cfg.net_config(), seed=0)
+    refiner = CollapsedRefiner()
+    res = infer_frame(frame_id, pc, rpn, refiner, cfg)
+    assert refiner.calls > 0
+    assert res.detections == res.proposals
 
 
 def test_infer_frame_deterministic():

@@ -1,9 +1,16 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastpoint.kitti import PointCloud
-from fastpoint.voxels import (PointOutOfRange, VoxelSpec, dump_grid, from_dense,
-                              load_grid, slot_counts, to_dense, voxelize)
+from fastpoint.config import toy_config
+from fastpoint.kitti import PointCloud, crop_to_range
+from fastpoint.synthetic import generate_dataset
+from fastpoint.voxels import (PointOutOfRange, VoxelSpec, dump_grid, load_grid,
+                              slot_counts, to_dense, voxelize)
 
 SPEC = VoxelSpec(((0.0, 70.4), (-40.0, 40.0), (-3.0, 1.0)), (0.1, 0.1, 0.2), 6)
 
@@ -12,6 +19,75 @@ def small_spec(cap=3):
     return VoxelSpec(((0.0, 2.0), (0.0, 2.0), (0.0, 1.0)), (1.0, 1.0, 0.5), cap)
 
 
+def stored_points(grid, key):
+    """The stored (n, 4) points of the voxel at index `key`."""
+    v = np.flatnonzero(np.all(grid.coords == key, axis=1))
+    assert len(v) == 1, f"voxel {key} not in grid"
+    return grid.points[v[0], :grid.stored[v[0]]]
+
+
+# ------------------------------------------------- dict reference voxelizer
+def reference_voxelize(pts, spec, seed):
+    """The per-point dict voxelizer the sorted-array grid replaced:
+    voxel index -> stored points, voxel index -> pre-cap count."""
+    idx = np.floor((pts[:, :3] - spec.mins) / np.asarray(spec.voxel_size)).astype(np.int64)
+    order = {}
+    for i, key in enumerate(map(tuple, idx)):
+        order.setdefault(key, []).append(i)
+    rng = np.random.default_rng(seed)
+    stored, counts = {}, {}
+    cap = spec.max_points_per_voxel
+    for key in sorted(order):
+        rows = order[key]
+        counts[key] = len(rows)
+        sel = pts[rows]
+        if len(rows) > cap:
+            sel = sel[np.lexsort(sel.T)]
+            sel = sel[np.sort(rng.choice(len(sel), size=cap, replace=False))]
+        center = spec.mins + (np.asarray(key) + 0.5) * np.asarray(spec.voxel_size)
+        out = sel.copy()
+        out[:, :3] = sel[:, :3] - center
+        stored[key] = out
+    return stored, counts
+
+
+def assert_matches_reference(grid, pts, spec, seed):
+    ref, ref_counts = reference_voxelize(pts, spec, seed)
+    assert [tuple(k) for k in grid.coords.tolist()] == list(ref)
+    for v, key in enumerate(ref):
+        n = grid.stored[v]
+        assert grid.points[v, :n].tobytes() == ref[key].tobytes()
+        assert not np.any(grid.points[v, n:])
+        assert grid.counts[v] == ref_counts[key]
+
+
+def dense_scene():
+    cfg = toy_config()
+    cfg.synthetic.clutter_points = 20000
+    cfg.synthetic.surface_points = (1500, 2250)
+    return cfg, generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, 5)[0]
+
+
+def test_voxelize_matches_dict_reference_toy():
+    cfg = toy_config()
+    for _, pc, _ in generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 3, 4):
+        grid = voxelize(pc, cfg.voxel_spec(), seed=9)
+        assert_matches_reference(grid, pc.points, cfg.voxel_spec(), 9)
+
+
+def test_voxelize_matches_dict_reference_overflowing():
+    cfg, (_, pc, _) = dense_scene()
+    grid = voxelize(pc, cfg.voxel_spec(), seed=3)
+    assert np.sum(grid.counts > grid.spec.max_points_per_voxel) > 100
+    assert_matches_reference(grid, pc.points, cfg.voxel_spec(), 3)
+    rng = np.random.default_rng(12)
+    pts = np.hstack([rng.uniform(0.0, 1.999, size=(300, 3)) * [1, 1, 0.5],
+                     rng.uniform(size=(300, 1))])
+    assert_matches_reference(voxelize(PointCloud(pts), small_spec(4), seed=2),
+                             pts, small_spec(4), 2)
+
+
+# ----------------------------------------------------------- index rule
 def test_spec_dims_full_scale():
     assert SPEC.dims == (704, 800, 20)
 
@@ -29,14 +105,14 @@ def test_spec_rejects_zero_cap():
 def test_point_to_voxel_index_floor_convention():
     pc = PointCloud(np.array([[35.2, 0.0, -1.0, 0.5]]))
     grid = voxelize(pc, SPEC, seed=0)
-    assert list(grid.points_by_voxel) == [(352, 400, 10)]
+    assert grid.coords.tolist() == [[352, 400, 10]]
 
 
 def test_boundary_point_lands_in_lower_voxel_of_next_cell():
     # a coordinate exactly on an interior voxel edge belongs to the upper cell
     pc = PointCloud(np.array([[1.0, 0.5, 0.25, 0.0]]))
     grid = voxelize(pc, small_spec(), seed=0)
-    assert list(grid.points_by_voxel) == [(1, 0, 0)]
+    assert grid.coords.tolist() == [[1, 0, 0]]
 
 
 def test_out_of_range_point_raises():
@@ -46,10 +122,53 @@ def test_out_of_range_point_raises():
         voxelize(PointCloud(np.array([[2.0, 0.0, 0.5, 0.0]])), small_spec(), seed=0)
 
 
+def test_point_just_below_upper_edge_goes_to_last_cell():
+    # (nextafter(6.4, 0) + 6.4) / 0.2 rounds to 64.0: floor alone gives index dims
+    cfg = toy_config()
+    y_hi, z_hi = cfg.voxel_range[1][1], cfg.voxel_range[2][1]
+    pts = np.array([[1.0, math.nextafter(y_hi, 0.0), 0.0, 0.0],
+                    [1.0, 0.0, math.nextafter(z_hi, 0.0), 0.0]])
+    pc = crop_to_range(PointCloud(pts), np.array(cfg.voxel_range))
+    assert len(pc) == 2
+    grid = voxelize(pc, cfg.voxel_spec(), seed=0)
+    nx, ny, nz = cfg.voxel_spec().dims
+    assert sorted(grid.coords.tolist()) == [[5, 32, nz - 1], [5, ny - 1, 15]]
+
+
+def _edge_coordinate(lo, hi):
+    return st.one_of(
+        st.sampled_from([lo, hi, math.nextafter(hi, lo), math.nextafter(lo, hi),
+                         math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]),
+        st.floats(lo - 1.0, hi + 1.0))
+
+
+@st.composite
+def _edge_clouds(draw):
+    (x0, x1), (y0, y1), (z0, z1) = toy_config().voxel_range
+    n = draw(st.integers(1, 20))
+    return np.array([[draw(_edge_coordinate(x0, x1)), draw(_edge_coordinate(y0, y1)),
+                      draw(_edge_coordinate(z0, z1)), 0.5] for _ in range(n)])
+
+
+@given(_edge_clouds())
+@settings(max_examples=300, deadline=None)
+def test_every_cropped_point_is_voxelizable(pts):
+    cfg = toy_config()
+    spec = cfg.voxel_spec()
+    kept = crop_to_range(PointCloud(pts), np.array(cfg.voxel_range))
+    grid = voxelize(kept, spec, seed=0)
+    assert grid.counts.sum() == len(kept)
+    assert np.all((grid.coords >= 0) & (grid.coords < np.array(spec.dims)))
+    if len(kept) < len(pts):
+        with pytest.raises(PointOutOfRange):
+            voxelize(PointCloud(pts), spec, seed=0)
+
+
+# ------------------------------------------------------------ grid contents
 def test_offsets_are_relative_to_voxel_center():
     pc = PointCloud(np.array([[0.25, 0.75, 0.2, 0.9]]))
     grid = voxelize(pc, small_spec(), seed=0)
-    stored = grid.points_by_voxel[(0, 0, 0)]
+    stored = stored_points(grid, (0, 0, 0))
     assert np.allclose(stored[0], [0.25 - 0.5, 0.75 - 0.5, 0.2 - 0.25, 0.9])
 
 
@@ -58,8 +177,9 @@ def test_overflow_subsample_is_capped_and_counts_track_precap():
     pts = np.hstack([rng.uniform(0.0, 0.999, size=(10, 3)) * [1, 1, 0.5],
                      rng.uniform(size=(10, 1))])
     grid = voxelize(PointCloud(pts), small_spec(cap=3), seed=7)
-    assert grid.counts[(0, 0, 0)] == 10
-    assert grid.stored_count((0, 0, 0)) == 3
+    assert grid.counts.tolist() == [10]
+    assert grid.stored.tolist() == [3]
+    assert len(stored_points(grid, (0, 0, 0))) == 3
 
 
 def test_subsample_deterministic_and_seed_sensitive():
@@ -70,9 +190,8 @@ def test_subsample_deterministic_and_seed_sensitive():
     a = voxelize(pc, small_spec(cap=3), seed=5)
     b = voxelize(pc, small_spec(cap=3), seed=5)
     c = voxelize(pc, small_spec(cap=3), seed=6)
-    assert np.array_equal(a.points_by_voxel[(0, 0, 0)], b.points_by_voxel[(0, 0, 0)])
-    assert any(not np.array_equal(a.points_by_voxel[k], c.points_by_voxel[k])
-               for k in a.points_by_voxel)
+    assert np.array_equal(a.points, b.points)
+    assert not np.array_equal(a.points, c.points)
 
 
 def test_subsample_independent_of_input_order():
@@ -81,32 +200,30 @@ def test_subsample_independent_of_input_order():
                      rng.uniform(size=(60, 1))])
     a = voxelize(PointCloud(pts), small_spec(cap=4), seed=3)
     b = voxelize(PointCloud(pts[::-1]), small_spec(cap=4), seed=3)
-    for k in a.points_by_voxel:
-        sa = a.points_by_voxel[k][np.lexsort(a.points_by_voxel[k].T)]
-        sb = b.points_by_voxel[k][np.lexsort(b.points_by_voxel[k].T)]
+    assert np.array_equal(a.coords, b.coords)
+    for v in range(len(a.coords)):
+        sa = a.points[v][np.lexsort(a.points[v].T)]
+        sb = b.points[v][np.lexsort(b.points[v].T)]
         assert np.allclose(sa, sb)
 
 
-def test_dense_roundtrip():
+def test_encoder_inputs_are_the_grid_arrays():
     rng = np.random.default_rng(3)
     pts = np.hstack([rng.uniform(0.0, 1.999, size=(40, 3)) * [1, 1, 0.5],
                      rng.uniform(size=(40, 1))])
     grid = voxelize(PointCloud(pts), small_spec(cap=3), seed=0)
-    dense = to_dense(grid)
-    assert dense.shape == (2, 2, 2, 3, 4)
-    counts = slot_counts(grid)
-    back = from_dense(dense, counts, grid.spec)
-    assert set(back.points_by_voxel) == set(grid.points_by_voxel)
-    for k in grid.points_by_voxel:
-        assert np.array_equal(back.points_by_voxel[k], grid.points_by_voxel[k])
+    assert to_dense(grid).shape == (len(grid.coords), 3, 4)
+    assert np.array_equal(slot_counts(grid), np.minimum(grid.counts, 3))
 
 
 def test_empty_cloud_gives_empty_grid():
     grid = voxelize(PointCloud(np.zeros((0, 4))), small_spec(), seed=0)
-    assert grid.points_by_voxel == {}
-    assert np.all(slot_counts(grid) == 0)
+    assert grid.coords.shape == (0, 3)
+    assert to_dense(grid).shape == (0, 3, 4)
+    assert slot_counts(grid).shape == (0,)
 
 
+# --------------------------------------------------------------- dump file
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     pts = np.hstack([rng.uniform(0.0, 1.999, size=(25, 3)) * [1, 1, 0.5],
@@ -116,9 +233,26 @@ def test_dump_load_roundtrip(tmp_path):
     dump_grid(p, grid)
     back = load_grid(p)
     assert back.spec == grid.spec
-    assert set(back.points_by_voxel) == set(grid.points_by_voxel)
-    for k in grid.points_by_voxel:
-        assert np.array_equal(back.points_by_voxel[k], grid.points_by_voxel[k])
+    assert np.array_equal(back.coords, grid.coords)
+    assert np.array_equal(back.stored, grid.stored)
+    assert back.points.tobytes() == grid.points.tobytes()
+
+
+def _dump_sha256(grid, tmp_path):
+    p = tmp_path / "g.voxels"
+    dump_grid(p, grid)
+    return hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def test_dump_bytes_pinned(tmp_path):
+    # digests of the dumps written by the dict-based voxelizer
+    cfg = toy_config()
+    _, pc, _ = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, cfg.seed)[0]
+    assert _dump_sha256(voxelize(pc, cfg.voxel_spec(), seed=cfg.seed), tmp_path) == (
+        "2b4d94c4d5790bff091583aaef8f0f0c716ddfe744f117e8aca75d64c722bb09")
+    cfg, (_, pc, _) = dense_scene()
+    assert _dump_sha256(voxelize(pc, cfg.voxel_spec(), seed=3), tmp_path) == (
+        "e611b8702494ef23f0bb4013e5d752acc5afc14a2d01efb1ba5ea1e3687dec46")
 
 
 def test_load_rejects_wrong_magic(tmp_path):
