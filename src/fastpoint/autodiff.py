@@ -3,7 +3,8 @@
 Only the operations needed by the detection networks are provided. Every
 primitive records a closure that maps the output gradient to parent
 gradients; ``Tensor.backward`` runs a topological sweep from a scalar loss.
-Gradients accumulate across backward calls until ``zero_grad``.
+Only leaf tensors (no parents, e.g. parameters) keep a ``.grad``; it
+accumulates across backward calls until ``zero_grad``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
+            if node.requires_grad and not node._parents:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward is None:
                 continue

@@ -122,8 +122,8 @@ def cmd_infer(args) -> int:
         frames = [f for f in frames if f[0] in wanted]
     totals = {}
     for frame_id, pc, _ in frames:
-        res = pipeline.infer_frame(frame_id, pc, rpn, refiner, cfg,
-                                   skip_refiner=args.skip_refiner)
+        res = pipeline.infer_frame(frame_id, pc, rpn,
+                                   None if args.skip_refiner else refiner, cfg)
         write_detections(out / f"{frame_id}.txt", res.detections)
         for k, v in res.stage_times.items():
             totals[k] = totals.get(k, 0.0) + v

@@ -6,20 +6,17 @@ vs. network stride) is validated at load time."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import yaml
 
 from .anchors import AnchorSpec
+from .errors import ConfigError
 from .losses import LossConfig
 from .nn import NetConfig, RefinerConfig, reference_netconfig
 from .synthetic import SceneSpec
 from .voxels import VoxelSpec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -45,7 +42,6 @@ class NetParams:
     refiner_head: tuple = (256,)
     attention: str = "vector"
     refiner_norm: str = "set"
-    num_classes: int = 1
 
 
 @dataclass
@@ -60,7 +56,6 @@ class PostParams:
 
 @dataclass
 class AugmentParams:
-    enabled: bool = False
     mixup_objects: int = 20
     flip_prob: float = 0.5
     scale_range: tuple = (0.95, 1.05)
@@ -113,7 +108,6 @@ class PipelineConfig:
     synthetic: SyntheticParams = field(default_factory=SyntheticParams)
     seed: int = 0
     data_dir: str | None = None
-    split_file: str | None = None
 
     # ------------------------------------------------------------ derived
     def voxel_spec(self) -> VoxelSpec:
@@ -133,7 +127,6 @@ class PipelineConfig:
                              self.net.refiner_coord_dim,
                              tuple(self.net.refiner_pointnet),
                              tuple(self.net.refiner_head),
-                             self.net.num_classes,
                              self.net.attention,
                              self.net.refiner_norm,
                              template)
@@ -183,29 +176,21 @@ def load_config(path) -> PipelineConfig:
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     def build(cls, data):
+        """cls from data, recursing into sections; absent keys keep their defaults."""
         if data is None:
             return cls()
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-        return cls(**{k: _tuplify(v) for k, v in data.items()})
+        kwargs = {}
+        for k, v in data.items():
+            section = fields[k].default_factory
+            kwargs[k] = (build(section, v) if section is not MISSING and is_dataclass(section)
+                         else _tuplify(v))
+        return cls(**kwargs)
 
-    cfg = PipelineConfig(
-        voxel_range=_tuplify(raw.get("voxel_range", PipelineConfig.voxel_range)),
-        voxel_size=_tuplify(raw.get("voxel_size", PipelineConfig.voxel_size)),
-        max_points_per_voxel=raw.get("max_points_per_voxel", 6),
-        anchors=build(AnchorParams, raw.get("anchors")),
-        net=build(NetParams, raw.get("net")),
-        loss=build(LossConfig, raw.get("loss")),
-        post=build(PostParams, raw.get("post")),
-        augment=build(AugmentParams, raw.get("augment")),
-        train=build(TrainParams, raw.get("train")),
-        synthetic=build(SyntheticParams, raw.get("synthetic")),
-        seed=raw.get("seed", 0),
-        data_dir=raw.get("data_dir"),
-        split_file=raw.get("split_file"),
-    )
+    cfg = build(PipelineConfig, raw)
     cfg.validate()
     return cfg
 

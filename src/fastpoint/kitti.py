@@ -230,8 +230,3 @@ def read_calib_file(path) -> Calibration:
         return Calibration(entries["R0_rect"], entries["Tr_velo_to_cam"], entries["P2"])
     except KeyError as e:
         raise MalformedCalib(f"missing calibration key {e}") from None
-
-
-def read_split_file(path) -> list[str]:
-    """Frame-id list, one id per line."""
-    return [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]

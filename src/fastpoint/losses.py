@@ -14,12 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ShapeMismatch
 
 PROB_EPS = 1e-7  # log is undefined at {0, 1}
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

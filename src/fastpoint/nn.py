@@ -22,20 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ConfigError, EmptyProposal, ShapeMismatch
 
 _NEG_BIG = -1e30  # masks empty point slots before max-pooling
-
-
-class ShapeMismatch(ValueError):
-    pass
-
-
-class ConfigMismatch(ValueError):
-    pass
-
-
-class EmptyProposal(ValueError):
-    pass
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -82,6 +71,22 @@ class Parameters:
             return p
         except FileNotFoundError:
             raise MissingCheckpoint(str(path)) from None
+
+
+def _checked(params: Parameters, built: Parameters, prefix: str) -> Parameters:
+    """params, once every tensor and running statistic under prefix has the
+    name and shape that the config built; raises ConfigError naming the
+    first that differs."""
+    def shapes(p):
+        arrays = {**{k: t.data for k, t in p.tensors.items()}, **p.stats}
+        return {k: a.shape for k, a in arrays.items() if k.startswith(prefix)}
+
+    have, want = shapes(params), shapes(built)
+    for name in sorted(have.keys() | want.keys()):
+        if have.get(name) != want.get(name):
+            raise ConfigError(f"checkpoint tensor {name}: shape {have.get(name, 'missing')}, "
+                              f"but the config builds {want.get(name, 'none')}")
+    return params
 
 
 class _Builder:
@@ -239,11 +244,11 @@ class NetConfig:
 
     def __post_init__(self):
         if len(self.conv3d) != 6:
-            raise ConfigMismatch("exactly six 3D conv layers required")
+            raise ConfigError("exactly six 3D conv layers required")
         if len(self.blocks2d) != 3:
-            raise ConfigMismatch("exactly three 2D conv blocks required")
+            raise ConfigError("exactly three 2D conv blocks required")
         if len(self.deconv) != 3:
-            raise ConfigMismatch("exactly three deconv branches required")
+            raise ConfigError("exactly three deconv branches required")
 
     @property
     def fused_channels(self) -> int:
@@ -261,10 +266,10 @@ class NetConfig:
             shape = tuple((s + 2 * p - k) // st + 1
                           for s, p, k, st in zip(shape, ly.padding, ly.kernel, ly.stride))
             if any(v < 1 for v in shape):
-                raise ConfigMismatch(f"conv3d layer {i} collapses shape to {shape}")
+                raise ConfigError(f"conv3d layer {i} collapses shape to {shape}")
             report[f"conv3d{i}"] = shape
         if shape[2] != 1:
-            raise ConfigMismatch(f"3D stack must reduce Z to 1, got {shape[2]}")
+            raise ConfigError(f"3D stack must reduce Z to 1, got {shape[2]}")
         shape2 = shape[:2]
         branch_shapes = []
         for bi, block in enumerate(self.blocks2d):
@@ -281,7 +286,7 @@ class NetConfig:
             if fused is None:
                 fused = out
             elif fused != out:
-                raise ConfigMismatch(f"branch outputs disagree: {fused} vs {out}")
+                raise ConfigError(f"branch outputs disagree: {fused} vs {out}")
         report["fused"] = fused
         report["map_dims"] = (fused[1], fused[0])   # (H_f, W_f) = (y, x)
         report["cls_channels"] = self.num_anchors
@@ -330,10 +335,8 @@ def reference_netconfig(width_mult: float = 1.0, encoder_channels: int = 8,
 # ---------------------------------------------------------------- VoxelRPN
 class VoxelRPN:
     def __init__(self, cfg: NetConfig, params: Parameters | None = None, seed: int = 0):
+        """Seeded weights, or the checkpoint params once they fit cfg."""
         self.cfg = cfg
-        if params is not None:
-            self.params = params
-            return
         self.params = Parameters()
         b = _Builder(self.params, seed)
         b.weight("rpn/encoder/w", (4, cfg.encoder_channels), 4)
@@ -364,6 +367,8 @@ class VoxelRPN:
         b.bias("rpn/cls/b", cfg.num_anchors)
         b.weight("rpn/reg/w", (cfg.num_anchors * 7, cf, 1, 1), cf)
         b.bias("rpn/reg/b", cfg.num_anchors * 7)
+        if params is not None:
+            self.params = _checked(params, self.params, "rpn/")
 
     def _p(self, name):
         return self.params.tensors[name]
@@ -402,7 +407,7 @@ class VoxelRPN:
                                   self._p(f"rpn/conv3d{i}/bn/shift"),
                                   self.params.stats, f"rpn/conv3d{i}/bn", train))
         if x.shape[3] != 1:
-            raise ConfigMismatch(f"3D stack left Z = {x.shape[3]}, expected 1")
+            raise ConfigError(f"3D stack left Z = {x.shape[3]}, expected 1")
         x = x.reshape(x.shape[0], x.shape[1], x.shape[2])
         branches = []
         for bi, block in enumerate(cfg.blocks2d):
@@ -436,7 +441,6 @@ class RefinerConfig:
     coord_dim: int = 128
     pointnet: tuple = (256, 512)
     head: tuple = (256,)
-    num_classes: int = 1
     attention: str = "vector"      # "vector" | "scalar" | "ones"
     # "set" normalizes each proposal's point features by their own moments;
     # "none" keeps the affine pair only, preserving absolute coordinate scale
@@ -448,19 +452,17 @@ class RefinerConfig:
 
     def __post_init__(self):
         if self.attention not in ("vector", "scalar", "ones"):
-            raise ConfigMismatch(f"unknown attention mode {self.attention!r}")
+            raise ConfigError(f"unknown attention mode {self.attention!r}")
         if self.norm not in ("set", "none"):
-            raise ConfigMismatch(f"unknown norm mode {self.norm!r}")
+            raise ConfigError(f"unknown norm mode {self.norm!r}")
         if self.corner_template is not None and len(self.corner_template) != 24:
-            raise ConfigMismatch("corner_template must have 24 entries")
+            raise ConfigError("corner_template must have 24 entries")
 
 
 class RefinerNet:
     def __init__(self, cfg: RefinerConfig, params: Parameters | None = None, seed: int = 0):
+        """Seeded weights, or the checkpoint params once they fit cfg."""
         self.cfg = cfg
-        if params is not None:
-            self.params = params
-            return
         self.params = Parameters()
         b = _Builder(self.params, seed)
         b.weight("refiner/coord/w", (3, cfg.coord_dim), 3)
@@ -477,16 +479,16 @@ class RefinerNet:
             b.bias(f"refiner/pn{i}/b", width)
             b.norm(f"refiner/pn{i}/bn", width)
             cin = width
-        cin += cfg.num_classes if cfg.num_classes > 1 else 0
         for i, width in enumerate(cfg.head):
             b.weight(f"refiner/head{i}/w", (cin, width), cin)
             b.bias(f"refiner/head{i}/b", width)
             cin = width
-        b.weight("refiner/out/w", (cin, 24 * cfg.num_classes), cin)
-        b.bias("refiner/out/b", 24 * cfg.num_classes)
+        b.weight("refiner/out/w", (cin, 24), cin)
+        b.bias("refiner/out/b", 24)
         if cfg.corner_template is not None:
-            self.params.tensors["refiner/out/b"].data[:] = np.tile(
-                np.asarray(cfg.corner_template, dtype=np.float64), cfg.num_classes)
+            self.params.tensors["refiner/out/b"].data[:] = cfg.corner_template
+        if params is not None:
+            self.params = _checked(params, self.params, "refiner/")
 
     def _p(self, name):
         return self.params.tensors[name]
@@ -498,10 +500,9 @@ class RefinerNet:
         c = x.shape[1]
         return scale.reshape(1, c) * x + shift.reshape(1, c)
 
-    def forward(self, coords: np.ndarray, feats: np.ndarray, train: bool = False,
-                class_index: int = 0) -> Tensor:
+    def forward(self, coords: np.ndarray, feats: np.ndarray, train: bool = False) -> Tensor:
         """coords: (N, 3) canonized; feats: (N, C_F). Returns the 24-vector
-        corner prediction (for class_index when multi-class)."""
+        corner prediction."""
         cfg = self.cfg
         n = len(coords)
         if n == 0:
@@ -520,15 +521,7 @@ class RefinerNet:
         for i in range(len(cfg.pointnet)):
             h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
             h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))
-        g = h.max(axis=0)
-        if cfg.num_classes > 1:
-            onehot = np.zeros(cfg.num_classes)
-            onehot[class_index] = 1.0
-            g = ad.concat([g, Tensor(onehot)], axis=0)
-        g = g.reshape(1, g.shape[0])
+        g = h.max(axis=0).reshape(1, h.shape[1])
         for i in range(len(cfg.head)):
             g = ad.relu(linear(g, self._p(f"refiner/head{i}/w"), self._p(f"refiner/head{i}/b")))
-        out = linear(g, self._p("refiner/out/w"), self._p("refiner/out/b")).reshape(-1)
-        if cfg.num_classes > 1:
-            out = ad.take(out, np.arange(24) + 24 * class_index)
-        return out
+        return linear(g, self._p("refiner/out/w"), self._p("refiner/out/b")).reshape(-1)

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, refiner_features
-from .anchors import build_anchor_grid
-from .config import PipelineConfig
+from .anchors import AnchorSet, build_anchor_grid
+from .config import PipelineConfig, PostParams
+from .errors import EmptyProposal
 from .kitti import PointCloud
 from .nn import RefinerNet, VoxelRPN
 from .postprocess import (DegenerateCorners, Detection, corners_to_box,
@@ -27,9 +28,23 @@ class FrameResult:
     stage_times: dict = field(default_factory=dict)
 
 
+def select_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchor_set: AnchorSet,
+                     post: PostParams) -> list:
+    """First-stage maps -> decoded detections above post.score_thresh ->
+    rotated NMS -> the top post.top_k, in descending score order. Training
+    and inference both pick the refiner's proposals here."""
+    dets = decode_detections(cls_map, reg_map, anchor_set, post.score_thresh)
+    if not dets:
+        return []
+    kept = nms_rotated([d.box for d in dets], np.array([d.score for d in dets]),
+                       post.nms_iou)
+    return [dets[i] for i in kept[:post.top_k]]
+
+
 def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
-                refiner: RefinerNet | None, cfg: PipelineConfig,
-                skip_refiner: bool = False) -> FrameResult:
+                refiner: RefinerNet | None, cfg: PipelineConfig) -> FrameResult:
+    """Both stages on one frame; with refiner None the detections are the
+    proposals."""
     spec = cfg.voxel_spec()
     anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), spec)
     times = {}
@@ -44,28 +59,19 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
     times["rpn_forward"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dets = decode_detections(cls_map.data, reg_map.data, anchor_set, cfg.post.score_thresh)
-    if dets:
-        kept = nms_rotated([d.box for d in dets], np.array([d.score for d in dets]),
-                           cfg.post.nms_iou)
-        proposals = [dets[i] for i in kept[:cfg.post.top_k]]
-    else:
-        proposals = []
+    proposals = select_proposals(cls_map.data, reg_map.data, anchor_set, cfg.post)
     times["decode_nms"] = time.perf_counter() - t0
 
-    if skip_refiner or refiner is None:
+    if refiner is None:
         return FrameResult(frame_id, list(proposals), proposals, times)
 
     t0 = time.perf_counter()
-    extent = (spec.axis_range[0][1] - spec.axis_range[0][0],
-              spec.axis_range[1][1] - spec.axis_range[1][0])
-    origin = (spec.axis_range[0][0], spec.axis_range[1][0])
     refined = []
     for det in proposals:
         try:
             bf = refiner_features.build_box_feature(
-                pc, fused.data, det.box, det.score, extent, origin, cfg.post.crop_margin)
-        except refiner_features.EmptyProposal:
+                pc, fused.data, det.box, det.score, spec, cfg.post.crop_margin)
+        except EmptyProposal:
             refined.append(det)      # pointless to refine without points
             continue
         pred = refiner.forward(bf.coords, bf.feats, train=False)

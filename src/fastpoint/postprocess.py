@@ -10,15 +10,12 @@ import numpy as np
 
 from . import geometry
 from .anchors import AnchorSet, decode_rpn_batch
+from .errors import ShapeMismatch
 from .geometry import Box3D, BoxBEV, normalize_angle
 
 # canonical corner adjacency: edges along the length axis, bottom/top faces
 _LENGTH_EDGES = ((0, 1), (3, 2), (4, 5), (7, 6))
 _WIDTH_EDGES = ((1, 2), (0, 3), (5, 6), (4, 7))
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class DegenerateCorners(ValueError):

@@ -9,14 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .errors import EmptyProposal
 from .geometry import Box3D
 from .kitti import PointCloud
+from .voxels import VoxelSpec
 
 DEFAULT_MARGIN = 0.3  # meters of context kept around the proposal
-
-
-class EmptyProposal(ValueError):
-    pass
 
 
 @dataclass
@@ -27,26 +25,11 @@ class BoxFeature:
     score: float
 
 
-def crop_points(pc: PointCloud, proposal: Box3D, margin: float = DEFAULT_MARGIN,
-                bev_only: bool = False) -> np.ndarray:
-    """Points within the proposal expanded by margin; preserves input order.
-
-    bev_only applies the margin in the ground plane only (the vertical
-    extent is still the box height plus margin either way by default).
-    """
+def crop_points(pc: PointCloud, proposal: Box3D, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+    """Points within the proposal expanded by margin; preserves input order."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    if bev_only:
-        # expand planar faces only; vertical uses the bare box
-        local = geometry.canonize_points(proposal, pc.points[:, :3])
-        mask = (
-            (np.abs(local[:, 0]) <= proposal.l / 2 + margin)
-            & (np.abs(local[:, 1]) <= proposal.w / 2 + margin)
-            & (np.abs(local[:, 2]) <= proposal.h / 2)
-        )
-    else:
-        mask = geometry.points_in_box(pc.points, proposal, margin)
-    return pc.points[mask]
+    return pc.points[geometry.points_in_box(pc.points, proposal, margin)]
 
 
 def lookup_feature(point_xy, feature_map: np.ndarray, world_extent, world_origin) -> np.ndarray:
@@ -75,13 +58,17 @@ def lookup_features(points_xy: np.ndarray, feature_map: np.ndarray,
 
 
 def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
-                      score: float, world_extent, world_origin,
-                      margin: float = DEFAULT_MARGIN, bev_only: bool = False) -> BoxFeature:
+                      score: float, spec: VoxelSpec,
+                      margin: float = DEFAULT_MARGIN) -> BoxFeature:
     """Crop, canonize, and attach backbone features; raises EmptyProposal
-    when no point survives the crop."""
-    pts = crop_points(pc, proposal, margin, bev_only)
+    when no point survives the crop.
+
+    feature_map spans the BEV extent of the voxel grid of spec.
+    """
+    pts = crop_points(pc, proposal, margin)
     if len(pts) == 0:
         raise EmptyProposal("no points within margin of proposal")
     coords = geometry.canonize_points(proposal, pts[:, :3])
-    feats = lookup_features(pts[:, :2], feature_map, world_extent, world_origin)
+    (x0, x1), (y0, y1), _ = spec.axis_range
+    feats = lookup_features(pts[:, :2], feature_map, (x1 - x0, y1 - y0), (x0, y0))
     return BoxFeature(coords, feats, proposal, score)

@@ -11,9 +11,12 @@ import numpy as np
 from . import geometry, losses, refiner_features
 from .anchors import assign_targets, build_anchor_grid, encode_corners
 from .config import PipelineConfig
+from .errors import EmptyProposal
 from .kitti import PointCloud
 from .nn import Parameters, RefinerNet, VoxelRPN
-from .postprocess import nms_rotated
+from .pipeline import select_proposals
+# bound here only so that the benchmark's tracer can patch them under train
+from .postprocess import nms_rotated  # noqa: F401
 from .voxels import slot_counts, to_dense, voxelize
 
 
@@ -154,22 +157,6 @@ def train_voxelrpn(prepared: list, cfg: PipelineConfig, log=None) -> VoxelRPN:
     return rpn
 
 
-def select_proposals(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig,
-                     anchor_set):
-    """Post-NMS top-K proposals plus the fused feature map (eval mode)."""
-    from .postprocess import decode_detections
-
-    cls_map, reg_map, fused = rpn.forward(frame.slots, frame.counts, frame.coords,
-                                          cfg.voxel_spec().dims, train=False)
-    dets = decode_detections(cls_map.data, reg_map.data, anchor_set,
-                             cfg.post.score_thresh)
-    if not dets:
-        return [], fused.data
-    kept = nms_rotated([d.box for d in dets], np.array([d.score for d in dets]),
-                       cfg.post.nms_iou)
-    return [dets[i] for i in kept[:cfg.post.top_k]], fused.data
-
-
 def _refiner_training_pairs(proposals, frame: PreparedFrame, cfg: PipelineConfig):
     """(proposal, matched gt) for proposals overlapping a gt in BEV."""
     pairs = []
@@ -205,15 +192,15 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
     opt = make_optimizer(cfg, refiner.params, base_lr)
     spec = cfg.voxel_spec()
     anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), spec)
-    extent = (spec.axis_range[0][1] - spec.axis_range[0][0],
-              spec.axis_range[1][1] - spec.axis_range[1][0])
-    origin = (spec.axis_range[0][0], spec.axis_range[1][0])
 
     # features are frozen: proposals and fused maps computed once up front
     rng = np.random.default_rng(cfg.seed * 104729 + 11)
     cache = []
     for frame in prepared:
-        proposals, fused = select_proposals(rpn, frame, cfg, anchor_set)
+        # plain arrays: the forward graph is freed before the next frame's
+        cls_map, reg_map, fused = (t.data for t in rpn.forward(
+            frame.slots, frame.counts, frame.coords, spec.dims, train=False))
+        proposals = select_proposals(cls_map, reg_map, anchor_set, cfg.post)
         pairs = _refiner_training_pairs(proposals, frame, cfg)
         boxes = [(det.box, det.score, gt) for det, gt in pairs]
         for gt in frame.gts:
@@ -224,9 +211,8 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
         for box, score, gt in boxes:
             try:
                 bf = refiner_features.build_box_feature(
-                    frame.pc, fused, box, score, extent, origin,
-                    cfg.post.crop_margin)
-            except refiner_features.EmptyProposal:
+                    frame.pc, fused, box, score, spec, cfg.post.crop_margin)
+            except EmptyProposal:
                 continue
             samples.append((bf, encode_corners(gt, box)))
         cache.append(samples)

@@ -165,6 +165,17 @@ def test_grad_accumulates_through_shared_subexpression():
     assert np.allclose(x.grad, 7.0)
 
 
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([2.0, 0.5, -1.0]), requires_grad=True)
+    h = x * w
+    loss = (h * h).sum()
+    loss.backward()
+    assert h.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, 2 * h.data * w.data)
+    assert np.array_equal(w.grad, 2 * h.data * x.data)
+
+
 def test_numpy_operand_does_not_absorb_tensor():
     x = Tensor(np.ones(3), requires_grad=True)
     out = np.array([2.0, 2.0, 2.0]) * x

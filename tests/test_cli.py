@@ -3,6 +3,11 @@ import pytest
 
 from fastpoint import cli
 from fastpoint.config import load_config, toy_config
+from fastpoint.nn import RefinerNet, VoxelRPN
+from fastpoint.pipeline import infer_frame
+from fastpoint.postprocess import write_detections
+from fastpoint.synthetic import generate_dataset
+from fastpoint.train import merge_parameters
 
 
 def run(argv, capsys):
@@ -38,6 +43,20 @@ def test_infer_missing_checkpoint_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "checkpoint not found" in captured.err
+
+
+def test_infer_skip_refiner_writes_proposals(tmp_path, capsys):
+    cfg = toy_config()
+    rpn = VoxelRPN(cfg.net_config(), seed=0)
+    ckpt = tmp_path / "ckpt.npz"
+    merge_parameters(rpn, RefinerNet(cfg.refiner_config(), seed=1)).save(ckpt)
+    frame_id, pc, _ = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1,
+                                       cfg.seed)[0]
+    code, _ = run(["--out", str(tmp_path), "infer", "--checkpoint", str(ckpt),
+                   "--frames", frame_id, "--skip-refiner"], capsys)
+    assert code == 0
+    write_detections(tmp_path / "want.txt", infer_frame(frame_id, pc, rpn, None, cfg).proposals)
+    assert (tmp_path / f"{frame_id}.txt").read_text() == (tmp_path / "want.txt").read_text()
 
 
 def test_eval_without_detections_reports_zero(tmp_path, capsys):

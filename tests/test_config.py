@@ -62,6 +62,24 @@ def test_unknown_key_rejected():
         config_from_dict({"anchors": {"no_such_field": 1}})
 
 
+def test_unknown_top_level_key_rejected():
+    with pytest.raises(ConfigError, match="sed"):
+        config_from_dict({"sed": 3})
+
+
+def test_unread_knobs_rejected():
+    for raw in ({"split_file": "train.txt"}, {"augment": {"enabled": True}},
+                {"net": {"num_classes": 3}}):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+
+def test_top_level_keys_override_defaults():
+    cfg = config_from_dict({"max_points_per_voxel": 4, "seed": 9, "data_dir": "d"})
+    assert (cfg.max_points_per_voxel, cfg.seed, cfg.data_dir) == (4, 9, "d")
+    assert cfg.voxel_range == PipelineConfig().voxel_range
+
+
 def test_inconsistent_grid_rejected():
     # 30 voxels along x is not a multiple of the network output stride
     with pytest.raises(ConfigError):

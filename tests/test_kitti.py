@@ -140,14 +140,12 @@ def test_read_calib_missing_key(tmp_path):
         kitti.read_calib_file(p)
 
 
-def test_label_file_and_split_file(tmp_path):
+def test_label_file(tmp_path):
     calib = Calibration.identity()
     (tmp_path / "000001.txt").write_text(make_label_line() + "\n\n" +
                                          make_label_line(cls="Cyclist") + "\n")
     labels = kitti.read_label_file(tmp_path / "000001.txt", calib)
     assert [l.cls for l in labels] == ["Car", "Cyclist"]
-    (tmp_path / "split.txt").write_text("000001\n\n000007\n")
-    assert kitti.read_split_file(tmp_path / "split.txt") == ["000001", "000007"]
 
 
 def test_yaw_conversion_is_involution():

@@ -5,7 +5,8 @@ import pytest
 
 from fastpoint import losses
 from fastpoint.autodiff import Tensor
-from fastpoint.losses import LossConfig, ShapeMismatch
+from fastpoint.errors import ShapeMismatch
+from fastpoint.losses import LossConfig
 
 
 def test_bce_hand_values():

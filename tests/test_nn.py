@@ -4,11 +4,13 @@ import pytest
 from fastpoint import autodiff as ad
 from fastpoint import nn
 from fastpoint.autodiff import Tensor
-from fastpoint.nn import (ConfigMismatch, EmptyProposal, MissingCheckpoint,
-                          Parameters, RefinerConfig, RefinerNet, VoxelRPN,
+from fastpoint.config import toy_config
+from fastpoint.errors import ConfigError, EmptyProposal, ShapeMismatch
+from fastpoint.nn import (MissingCheckpoint, Parameters, RefinerConfig, RefinerNet, VoxelRPN,
                           batchnorm, conv_nd, deconv_nd, linear, reference_netconfig,
                           setnorm)
 from fastpoint.selfcheck import finite_diff_check
+from fastpoint.train import merge_parameters
 
 
 # ------------------------------------------------------------------ layers
@@ -244,7 +246,7 @@ def test_voxel_encoder_rejects_voxel_without_points():
     rng = np.random.default_rng(11)
     slots, counts, coords, dims = make_voxels(rng, n=10)
     counts[0] = 0
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ShapeMismatch):
         VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords, dims, train=False)
 
 
@@ -327,7 +329,7 @@ def test_refiner_empty_proposal_raises():
 
 def test_refiner_feature_shape_mismatch():
     net = RefinerNet(ref_cfg(), seed=0)
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ShapeMismatch):
         net.forward(np.zeros((5, 3)), np.zeros((5, 4)), train=False)
 
 
@@ -342,17 +344,6 @@ def test_refiner_attention_modes_differ():
     assert not np.allclose(outs[0], outs[2])
 
 
-def test_refiner_multiclass_slices_by_class():
-    rng = np.random.default_rng(14)
-    coords = rng.normal(size=(20, 3))
-    feats = rng.normal(size=(20, 6))
-    net = RefinerNet(ref_cfg(num_classes=3), seed=0)
-    a = net.forward(coords, feats, train=False, class_index=0).data
-    b = net.forward(coords, feats, train=False, class_index=2).data
-    assert a.shape == (24,) and b.shape == (24,)
-    assert not np.allclose(a, b)
-
-
 def test_refiner_corner_template_sets_initial_bias():
     template = tuple(float(i) for i in range(24))
     net = RefinerNet(ref_cfg(corner_template=template), seed=0)
@@ -360,11 +351,11 @@ def test_refiner_corner_template_sets_initial_bias():
 
 
 def test_refiner_rejects_bad_config():
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError):
         ref_cfg(attention="softmax")
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError):
         ref_cfg(norm="batch")
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigError):
         ref_cfg(corner_template=(1.0, 2.0))
 
 
@@ -397,3 +388,36 @@ def test_parameters_save_load_roundtrip(tmp_path):
 def test_parameters_missing_checkpoint(tmp_path):
     with pytest.raises(MissingCheckpoint):
         Parameters.load(tmp_path / "absent.npz")
+
+
+def toy_checkpoint():
+    cfg = toy_config()
+    return merge_parameters(VoxelRPN(cfg.net_config(), seed=0),
+                            RefinerNet(cfg.refiner_config(), seed=1))
+
+
+def test_networks_accept_checkpoint_built_for_their_config():
+    cfg, params = toy_config(), toy_checkpoint()
+    assert VoxelRPN(cfg.net_config(), params=params).params is params
+    assert RefinerNet(cfg.refiner_config(), params=params).params is params
+
+
+def test_rpn_rejects_checkpoint_of_another_width():
+    cfg = toy_config()
+    cfg.net.width_mult = 0.5
+    with pytest.raises(ConfigError, match="rpn/block2_0/b:"):
+        VoxelRPN(cfg.net_config(), params=toy_checkpoint())
+
+
+def test_rpn_rejects_checkpoint_of_another_anchor_count():
+    cfg = toy_config()
+    cfg.anchors.angles_deg = (0.0, 90.0)
+    with pytest.raises(ConfigError, match="rpn/cls/b:"):
+        VoxelRPN(cfg.net_config(), params=toy_checkpoint())
+
+
+def test_refiner_rejects_checkpoint_without_its_tensors():
+    params = toy_checkpoint()
+    del params.tensors["refiner/head0/w"]
+    with pytest.raises(ConfigError, match="refiner/head0/w:"):
+        RefinerNet(toy_config().refiner_config(), params=params)

@@ -5,8 +5,9 @@ import pytest
 
 from fastpoint import geometry, postprocess
 from fastpoint.anchors import AnchorSpec, build_anchor_grid, encode_rpn
+from fastpoint.errors import ShapeMismatch
 from fastpoint.geometry import Box3D, BoxBEV
-from fastpoint.postprocess import (DegenerateCorners, Detection, ShapeMismatch,
+from fastpoint.postprocess import (DegenerateCorners, Detection,
                                    corners_to_box, decode_detections, nms_rotated,
                                    read_detections, write_detections)
 from fastpoint.selfcheck import brute_force_nms, random_bev_box
