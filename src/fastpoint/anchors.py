@@ -103,26 +103,6 @@ def build_anchor_grid(map_dims: tuple, spec: AnchorSpec, world: VoxelSpec) -> An
     return AnchorSet(boxes, diag, (h_f, w_f), spec)
 
 
-def bev_iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise BEV IoU for (N, 7|5) x (M, 7|5) box arrays."""
-    def to_bev(row):
-        if len(row) == 7:
-            return geometry.BoxBEV(row[0], row[1], row[3], row[4], row[6])
-        return geometry.BoxBEV(*row)
-
-    out = np.zeros((len(boxes_a), len(boxes_b)))
-    bevs_b = [to_bev(r) for r in boxes_b]
-    for i, ra in enumerate(boxes_a):
-        ba = to_bev(ra)
-        for j, bb in enumerate(bevs_b):
-            # cheap reject: centers farther than the two circumradii
-            if math.hypot(ra[0] - boxes_b[j][0], ra[1] - boxes_b[j][1]) > \
-                    (math.hypot(ba.l, ba.w) + math.hypot(bb.l, bb.w)) / 2:
-                continue
-            out[i, j] = geometry.iou_bev(ba, bb)
-    return out
-
-
 def assign_targets(anchors: AnchorSet, gts: list, pos_iou: float, neg_iou: float) -> TargetAssignment:
     """Label anchors by BEV IoU against ground truth.
 
@@ -139,8 +119,8 @@ def assign_targets(anchors: AnchorSet, gts: list, pos_iou: float, neg_iou: float
     if not gts:
         return TargetAssignment(labels, reg, matched)
 
-    gt_arr = np.stack([g.as_array() for g in gts])
-    iou = bev_iou_matrix(anchors.boxes, gt_arr)
+    iou = geometry.iou_bev_matrix(
+        [geometry.BoxBEV(r[0], r[1], r[3], r[4], r[6]) for r in anchors.boxes], gts)
     best_gt = iou.argmax(axis=1)
     best_iou = iou[np.arange(n), best_gt]
 

@@ -40,7 +40,6 @@ class NetParams:
     refiner_coord_dim: int = 128
     refiner_pointnet: tuple = (256, 512)
     refiner_head: tuple = (256,)
-    attention: str = "vector"
     refiner_norm: str = "set"
 
 
@@ -127,7 +126,6 @@ class PipelineConfig:
                              self.net.refiner_coord_dim,
                              tuple(self.net.refiner_pointnet),
                              tuple(self.net.refiner_head),
-                             self.net.attention,
                              self.net.refiner_norm,
                              template)
 
@@ -175,10 +173,14 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    def build(cls, data):
-        """cls from data, recursing into sections; absent keys keep their defaults."""
+    def build(cls, data, name):
+        """cls from the mapping data of section name, recursing into
+        sections; absent keys keep their defaults."""
         if data is None:
             return cls()
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping, "
+                              f"got {type(data).__name__}")
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:
@@ -186,11 +188,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         kwargs = {}
         for k, v in data.items():
             section = fields[k].default_factory
-            kwargs[k] = (build(section, v) if section is not MISSING and is_dataclass(section)
+            kwargs[k] = (build(section, v, k) if section is not MISSING and is_dataclass(section)
                          else _tuplify(v))
         return cls(**kwargs)
 
-    cfg = build(PipelineConfig, raw)
+    cfg = build(PipelineConfig, raw, "top level")
     cfg.validate()
     return cfg
 

@@ -132,6 +132,29 @@ def iou_bev(a: BoxBEV, b: BoxBEV) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def bev_of(box) -> BoxBEV:
+    """A BoxBEV as is, a Box3D projected to BEV."""
+    return box.bev() if isinstance(box, Box3D) else box
+
+
+def iou_bev_matrix(boxes_a: list, boxes_b: list) -> np.ndarray:
+    """Pairwise BEV IoU (N, M) of two lists of BoxBEV or Box3D (projected).
+
+    iou_bev runs only on pairs whose centers lie within the sum of their
+    circumradii; every other pair cannot overlap and reads 0.
+    """
+    a, b = [bev_of(p) for p in boxes_a], [bev_of(p) for p in boxes_b]
+    ca = np.array([(p.x, p.y, math.hypot(p.l, p.w)) for p in a]).reshape(-1, 3)
+    cb = np.array([(p.x, p.y, math.hypot(p.l, p.w)) for p in b]).reshape(-1, 3)
+    dist = np.hypot(ca[:, None, 0] - cb[None, :, 0], ca[:, None, 1] - cb[None, :, 1])
+    out = np.zeros(dist.shape)
+    for i, j in zip(*np.nonzero(dist <= (ca[:, None, 2] + cb[None, :, 2]) / 2)):
+        # looked up as the module global on each call, so a wrapped iou_bev
+        # sees every pair
+        out[i, j] = iou_bev(a[i], b[j])
+    return out
+
+
 def iou_3d(a: Box3D, b: Box3D) -> float:
     inter_bev = intersection_area_bev(a.bev(), b.bev())
     if inter_bev == 0.0:

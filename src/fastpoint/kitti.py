@@ -167,7 +167,7 @@ def parse_label_line(line: str, calib: Calibration,
         raise MalformedLabel(f"expected 15 (or 16 with score) fields, got {len(fields)}")
     cls = fields[0]
     if cls not in KNOWN_CLASSES:
-        cls = "Other" if cls != "DontCare" else "DontCare"
+        cls = "Other"
     try:
         vals = [float(v) for v in fields[1:]]
     except ValueError as e:

@@ -60,6 +60,8 @@ class Parameters:
     def load(cls, path):
         try:
             with np.load(path) as z:
+                if "__version__" not in z.files:
+                    raise ValueError(f"{path}: no __version__, not a checkpoint")
                 if int(z["__version__"]) != cls.VERSION:
                     raise ValueError(f"unsupported checkpoint version {z['__version__']}")
                 p = cls()
@@ -441,7 +443,6 @@ class RefinerConfig:
     coord_dim: int = 128
     pointnet: tuple = (256, 512)
     head: tuple = (256,)
-    attention: str = "vector"      # "vector" | "scalar" | "ones"
     # "set" normalizes each proposal's point features by their own moments;
     # "none" keeps the affine pair only, preserving absolute coordinate scale
     norm: str = "set"
@@ -451,8 +452,6 @@ class RefinerConfig:
     corner_template: tuple | None = None
 
     def __post_init__(self):
-        if self.attention not in ("vector", "scalar", "ones"):
-            raise ConfigError(f"unknown attention mode {self.attention!r}")
         if self.norm not in ("set", "none"):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
         if self.corner_template is not None and len(self.corner_template) != 24:
@@ -469,10 +468,8 @@ class RefinerNet:
         b.bias("refiner/coord/b", cfg.coord_dim)
         b.norm("refiner/coord/bn", cfg.coord_dim)
         fuse_dim = cfg.coord_dim + cfg.feature_channels
-        if cfg.attention != "ones":
-            att_out = fuse_dim if cfg.attention == "vector" else 1
-            b.weight("refiner/att/w", (cfg.feature_channels, att_out), cfg.feature_channels)
-            b.bias("refiner/att/b", att_out)
+        b.weight("refiner/att/w", (cfg.feature_channels, fuse_dim), cfg.feature_channels)
+        b.bias("refiner/att/b", fuse_dim)
         cin = fuse_dim
         for i, width in enumerate(cfg.pointnet):
             b.weight(f"refiner/pn{i}/w", (cin, width), cin)
@@ -514,10 +511,7 @@ class RefinerNet:
         c = ad.relu(self._norm(c, "refiner/coord/bn"))
         f = Tensor(np.asarray(feats, dtype=np.float64))
         fused = ad.concat([c, f], axis=1)
-        if cfg.attention != "ones":
-            att = ad.sigmoid(linear(f, self._p("refiner/att/w"), self._p("refiner/att/b")))
-            fused = fused * att
-        h = fused
+        h = fused * ad.sigmoid(linear(f, self._p("refiner/att/w"), self._p("refiner/att/b")))
         for i in range(len(cfg.pointnet)):
             h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
             h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))

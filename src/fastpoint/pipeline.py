@@ -91,26 +91,24 @@ def proposal_recall(results: list, gts_by_frame: dict, iou_thresh: float = 0.5) 
     for res in results:
         gts = gts_by_frame[res.frame_id]
         total += len(gts)
-        for gt in gts:
-            if any(geometry.iou_bev(p.box.bev(), gt.bev()) >= iou_thresh
-                   for p in res.proposals):
-                covered += 1
+        iou = geometry.iou_bev_matrix([p.box for p in res.proposals], gts)
+        covered += int(np.sum(np.any(iou >= iou_thresh, axis=0)))
     return covered / total if total else 0.0
 
 
 def mean_matched_iou3d(dets_by_frame: dict, gts_by_frame: dict,
                        match_iou_bev: float = 0.5) -> float:
-    """Mean 3D IoU over (gt, best-BEV-matched detection) pairs."""
+    """Mean 3D IoU over (gt, best-BEV-matched detection) pairs; of equal best
+    detections the last is matched."""
     vals = []
     for frame_id, gts in gts_by_frame.items():
         dets = dets_by_frame.get(frame_id, [])
-        for gt in gts:
-            best = None
-            best_bev = match_iou_bev
-            for d in dets:
-                iou = geometry.iou_bev(d.box.bev(), gt.bev())
-                if iou >= best_bev:
-                    best, best_bev = d, iou
-            if best is not None:
-                vals.append(geometry.iou_3d(best.box, gt))
+        if not dets:
+            continue
+        iou = geometry.iou_bev_matrix([d.box for d in dets], gts)
+        for j, gt in enumerate(gts):
+            col = iou[:, j]
+            if col.max() >= match_iou_bev:
+                last_best = len(dets) - 1 - int(np.argmax(col[::-1]))
+                vals.append(geometry.iou_3d(dets[last_best].box, gt))
     return float(np.mean(vals)) if vals else 0.0

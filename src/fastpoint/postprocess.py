@@ -40,19 +40,20 @@ def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    bevs = [b.bev() if isinstance(b, Box3D) else b for b in boxes]
+    bevs = [geometry.bev_of(b) for b in boxes]
     order = np.argsort(-scores, kind="stable")
     kept = []
     suppressed = np.zeros(len(bevs), dtype=bool)
-    for i in order:
+    for rank, i in enumerate(order):
         if suppressed[i]:
             continue
         kept.append(int(i))
-        for j in order:
-            if j == i or suppressed[j]:
-                continue
-            if geometry.iou_bev(bevs[i], bevs[j]) > iou_thresh:
-                suppressed[j] = True
+        # an earlier-ranked box is suppressed or kept, and a kept one was
+        # already tested against i: only the later unsuppressed ones remain
+        later = order[rank + 1:]
+        later = later[~suppressed[later]]
+        iou = geometry.iou_bev_matrix([bevs[i]], [bevs[j] for j in later])[0]
+        suppressed[later[iou > iou_thresh]] = True
     return kept
 
 

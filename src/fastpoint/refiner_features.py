@@ -32,24 +32,14 @@ def crop_points(pc: PointCloud, proposal: Box3D, margin: float = DEFAULT_MARGIN)
     return pc.points[geometry.points_in_box(pc.points, proposal, margin)]
 
 
-def lookup_feature(point_xy, feature_map: np.ndarray, world_extent, world_origin) -> np.ndarray:
-    """Feature vector of the BEV cell containing (x, y).
+def lookup_features(points_xy: np.ndarray, feature_map: np.ndarray,
+                    world_extent, world_origin) -> np.ndarray:
+    """Backbone feature of the BEV cell of each of (N, 2) points -> (N, C_F).
 
     feature_map: (C_F, L_F, W_F) with axes (channel, x-cells, y-cells);
     world_extent = (L, W) meters; coordinates are shifted to the crop
     origin first; indices clamp to the valid range.
     """
-    c_f, l_f, w_f = feature_map.shape
-    x = point_xy[0] - world_origin[0]
-    y = point_xy[1] - world_origin[1]
-    ix = min(max(int(np.floor(x * l_f / world_extent[0])), 0), l_f - 1)
-    iy = min(max(int(np.floor(y * w_f / world_extent[1])), 0), w_f - 1)
-    return feature_map[:, ix, iy]
-
-
-def lookup_features(points_xy: np.ndarray, feature_map: np.ndarray,
-                    world_extent, world_origin) -> np.ndarray:
-    """Vectorized lookup_feature over (N, 2) points -> (N, C_F)."""
     c_f, l_f, w_f = feature_map.shape
     rel = np.asarray(points_xy, dtype=np.float64) - np.asarray(world_origin, dtype=np.float64)
     ix = np.clip(np.floor(rel[:, 0] * l_f / world_extent[0]).astype(np.int64), 0, l_f - 1)

@@ -158,16 +158,14 @@ def train_voxelrpn(prepared: list, cfg: PipelineConfig, log=None) -> VoxelRPN:
 
 
 def _refiner_training_pairs(proposals, frame: PreparedFrame, cfg: PipelineConfig):
-    """(proposal, matched gt) for proposals overlapping a gt in BEV."""
-    pairs = []
-    for det in proposals:
-        best, best_iou = None, cfg.post.refiner_pos_iou
-        for gt in frame.gts:
-            iou = geometry.iou_bev(det.box.bev(), gt.bev())
-            if iou > best_iou:
-                best, best_iou = gt, iou
-        if best is not None:
-            pairs.append((det, best))
+    """(proposal, matched gt) for proposals overlapping a gt in BEV above
+    refiner_pos_iou; of equal best gts the first is matched."""
+    if not frame.gts:
+        return []
+    iou = geometry.iou_bev_matrix([det.box for det in proposals], frame.gts)
+    pairs = [(det, frame.gts[g]) for det, g, best in
+             zip(proposals, iou.argmax(axis=1), iou.max(axis=1))
+             if best > cfg.post.refiner_pos_iou]
     return pairs[:cfg.post.max_refiner_proposals]
 
 

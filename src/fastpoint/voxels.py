@@ -135,28 +135,38 @@ def dump_grid(path, grid: VoxelGrid) -> None:
 
 
 def load_grid(path) -> VoxelGrid:
+    """Read a dump_grid file; raises ValueError on a file that is not a
+    whole, consistent dump."""
     raw = Path(path).read_bytes()
     if raw[:4] != _DUMP_MAGIC:
         raise ValueError("not a voxel grid dump")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off); off += 4
-    if version != _DUMP_VERSION:
-        raise ValueError(f"unsupported dump version {version}")
-    dims = struct.unpack_from("<3I", raw, off); off += 12
-    rng_vals = struct.unpack_from("<6d", raw, off); off += 48
-    vsize = struct.unpack_from("<3d", raw, off); off += 24
-    (cap,) = struct.unpack_from("<I", raw, off); off += 4
-    (n_rec,) = struct.unpack_from("<Q", raw, off); off += 8
-    spec = VoxelSpec(tuple((rng_vals[2 * i], rng_vals[2 * i + 1]) for i in range(3)),
-                     tuple(vsize), cap)
-    assert spec.dims == dims
-    coords = np.zeros((n_rec, 3), dtype=np.int64)
-    points = np.zeros((n_rec, cap, 4))
-    stored = np.zeros(n_rec, dtype=np.int64)
-    for v in range(n_rec):
-        coords[v] = struct.unpack_from("<3I", raw, off); off += 12
-        (n,) = struct.unpack_from("<I", raw, off); off += 4
-        points[v, :n] = np.frombuffer(raw, dtype="<f8", count=n * 4, offset=off).reshape(n, 4)
-        off += n * 32
-        stored[v] = n
+    try:
+        off = 4
+        (version,) = struct.unpack_from("<I", raw, off); off += 4
+        if version != _DUMP_VERSION:
+            raise ValueError(f"unsupported dump version {version}")
+        dims = struct.unpack_from("<3I", raw, off); off += 12
+        rng_vals = struct.unpack_from("<6d", raw, off); off += 48
+        vsize = struct.unpack_from("<3d", raw, off); off += 24
+        (cap,) = struct.unpack_from("<I", raw, off); off += 4
+        (n_rec,) = struct.unpack_from("<Q", raw, off); off += 8
+        if n_rec * 16 > len(raw) - off:      # a record takes at least 16 bytes
+            raise ValueError(f"{path}: voxel grid dump is cut short: its header "
+                             f"counts {n_rec} voxels")
+        spec = VoxelSpec(tuple((rng_vals[2 * i], rng_vals[2 * i + 1]) for i in range(3)),
+                         tuple(vsize), cap)
+        if spec.dims != dims:
+            raise ValueError(f"{path}: header dims {dims} disagree with the range and "
+                             f"voxel size, which give {spec.dims}")
+        coords = np.zeros((n_rec, 3), dtype=np.int64)
+        points = np.zeros((n_rec, cap, 4))
+        stored = np.zeros(n_rec, dtype=np.int64)
+        for v in range(n_rec):
+            coords[v] = struct.unpack_from("<3I", raw, off); off += 12
+            (n,) = struct.unpack_from("<I", raw, off); off += 4
+            points[v, :n] = np.reshape(struct.unpack_from(f"<{n * 4}d", raw, off), (n, 4))
+            off += n * 32
+            stored[v] = n
+    except struct.error:
+        raise ValueError(f"{path}: voxel grid dump is cut short") from None
     return VoxelGrid(spec, coords, points, stored, stored.copy())

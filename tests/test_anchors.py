@@ -45,18 +45,6 @@ def test_angles_must_differ_mod_pi():
         A.AnchorSpec(((1, 1, 1),), (0.0, math.pi), -1.0)
 
 
-def test_bev_iou_matrix_matches_scalar():
-    rng = np.random.default_rng(0)
-    boxes_a = np.stack([random_box3d(rng, 4.0).as_array() for _ in range(6)])
-    boxes_b = np.stack([random_box3d(rng, 4.0).as_array() for _ in range(5)])
-    mat = A.bev_iou_matrix(boxes_a, boxes_b)
-    for i in range(6):
-        for j in range(5):
-            want = geometry.iou_bev(Box3D.from_array(boxes_a[i]).bev(),
-                                    Box3D.from_array(boxes_b[j]).bev())
-            assert mat[i, j] == pytest.approx(want, abs=1e-12)
-
-
 def test_assignment_bands():
     anchors = grid()
     # gt exactly on an anchor: that anchor is positive
@@ -65,7 +53,7 @@ def test_assignment_bands():
     assert asn.labels[0] == A.POSITIVE
     assert asn.matched_gt[0] == 0
     # anchors overlapping the gt at intermediate IoU are ignored, distant negative
-    ious = A.bev_iou_matrix(anchors.boxes, gt.as_array()[None])[:, 0]
+    ious = geometry.iou_bev_matrix([Box3D.from_array(r) for r in anchors.boxes], [gt])[:, 0]
     for i, v in enumerate(ious):
         if v >= 0.6:
             assert asn.labels[i] == A.POSITIVE
@@ -82,7 +70,7 @@ def test_every_overlapped_gt_gets_a_positive():
     asn = A.assign_targets(anchors, [gt], pos_iou=0.95, neg_iou=0.45)
     assert len(asn.positive_indices) == 1
     i = asn.positive_indices[0]
-    ious = A.bev_iou_matrix(anchors.boxes, gt.as_array()[None])[:, 0]
+    ious = geometry.iou_bev_matrix([Box3D.from_array(r) for r in anchors.boxes], [gt])[:, 0]
     assert i == ious.argmax()
 
 

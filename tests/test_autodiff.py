@@ -182,9 +182,3 @@ def test_numpy_operand_does_not_absorb_tensor():
     assert isinstance(out, Tensor)
     out.sum().backward()
     assert np.allclose(x.grad, 2.0)
-
-
-def test_detach_blocks_gradient():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    (x.detach() * x).sum().backward()
-    assert np.allclose(x.grad, 2.0)   # only the undetached path contributes

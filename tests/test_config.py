@@ -67,9 +67,16 @@ def test_unknown_top_level_key_rejected():
         config_from_dict({"sed": 3})
 
 
+def test_section_that_is_not_a_mapping_rejected():
+    with pytest.raises(ConfigError, match="'net'"):
+        config_from_dict({"net": 5})
+    with pytest.raises(ConfigError, match="top level"):
+        config_from_dict([1, 2])
+
+
 def test_unread_knobs_rejected():
     for raw in ({"split_file": "train.txt"}, {"augment": {"enabled": True}},
-                {"net": {"num_classes": 3}}):
+                {"net": {"num_classes": 3}}, {"net": {"attention": "vector"}}):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 

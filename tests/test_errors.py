@@ -40,6 +40,6 @@ def test_empty_proposal_is_one_class():
 
 def test_config_error_is_one_class():
     with pytest.raises(ConfigError):
-        nn.RefinerConfig(feature_channels=2, attention="softmax")
+        nn.RefinerConfig(feature_channels=2, norm="batch")
     with pytest.raises(ConfigError):
         config_from_dict({"anchors": {"pos_iou": 0.4, "neg_iou": 0.45}})

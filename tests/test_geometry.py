@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fastpoint import geometry
 from fastpoint.geometry import Box3D, BoxBEV
-from fastpoint.selfcheck import brute_force_points_in_box, mc_iou_bev, random_bev_box
+from fastpoint.selfcheck import (brute_force_points_in_box, mc_iou_bev, random_bev_box,
+                                 random_box3d)
 
 
 def test_normalize_angle_half_open_interval():
@@ -94,6 +95,34 @@ def test_self_iou_and_symmetry(x, y, l, w, theta):
     assert geometry.iou_bev(b, b) == pytest.approx(1.0, abs=1e-9)
     assert geometry.iou_bev(b, other) == pytest.approx(geometry.iou_bev(other, b), abs=1e-12)
     assert 0.0 <= geometry.iou_bev(b, other) <= 1.0
+
+
+def assert_matrix_is_pairwise_scalar(boxes_a, boxes_b):
+    mat = geometry.iou_bev_matrix(boxes_a, boxes_b)
+    assert mat.shape == (len(boxes_a), len(boxes_b))
+    for i, a in enumerate(boxes_a):
+        for j, b in enumerate(boxes_b):
+            assert mat[i, j] == geometry.iou_bev(geometry.bev_of(a), geometry.bev_of(b))
+
+
+def test_iou_bev_matrix_matches_scalar():
+    rng = np.random.default_rng(0)
+    assert_matrix_is_pairwise_scalar([random_box3d(rng, 4.0) for _ in range(6)],
+                                     [random_box3d(rng, 4.0) for _ in range(5)])
+    assert_matrix_is_pairwise_scalar([random_bev_box(rng, 3.0) for _ in range(20)],
+                                     [random_bev_box(rng, 3.0) for _ in range(15)])
+
+
+def test_iou_bev_matrix_far_touching_and_empty():
+    square = BoxBEV(0, 0, 1, 1, 0)
+    # far apart; and corner to corner, where the center distance is exactly
+    # the sum of the circumradii
+    assert_matrix_is_pairwise_scalar([square], [BoxBEV(30, -20, 4, 2, 0.5)])
+    assert_matrix_is_pairwise_scalar([square], [BoxBEV(1, 1, 1, 1, 0)])
+    assert geometry.iou_bev_matrix([square], [BoxBEV(1, 1, 1, 1, 0)])[0, 0] == 0.0
+    assert geometry.iou_bev_matrix([], [square]).shape == (0, 1)
+    assert geometry.iou_bev_matrix([square], []).shape == (1, 0)
+    assert geometry.iou_bev_matrix([], []).shape == (0, 0)
 
 
 def test_canonize_points_roundtrip():

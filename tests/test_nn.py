@@ -333,17 +333,6 @@ def test_refiner_feature_shape_mismatch():
         net.forward(np.zeros((5, 3)), np.zeros((5, 4)), train=False)
 
 
-def test_refiner_attention_modes_differ():
-    rng = np.random.default_rng(13)
-    coords = rng.normal(size=(20, 3))
-    feats = rng.normal(size=(20, 6))
-    outs = []
-    for mode in ("vector", "scalar", "ones"):
-        net = RefinerNet(ref_cfg(attention=mode), seed=0)
-        outs.append(net.forward(coords, feats, train=False).data)
-    assert not np.allclose(outs[0], outs[2])
-
-
 def test_refiner_corner_template_sets_initial_bias():
     template = tuple(float(i) for i in range(24))
     net = RefinerNet(ref_cfg(corner_template=template), seed=0)
@@ -351,8 +340,6 @@ def test_refiner_corner_template_sets_initial_bias():
 
 
 def test_refiner_rejects_bad_config():
-    with pytest.raises(ConfigError):
-        ref_cfg(attention="softmax")
     with pytest.raises(ConfigError):
         ref_cfg(norm="batch")
     with pytest.raises(ConfigError):
@@ -388,6 +375,13 @@ def test_parameters_save_load_roundtrip(tmp_path):
 def test_parameters_missing_checkpoint(tmp_path):
     with pytest.raises(MissingCheckpoint):
         Parameters.load(tmp_path / "absent.npz")
+
+
+def test_parameters_load_rejects_file_without_version(tmp_path):
+    p = tmp_path / "weights.npz"
+    np.savez(p, **{"t/refiner/out/b": np.zeros(24)})
+    with pytest.raises(ValueError, match="weights.npz"):
+        Parameters.load(p)
 
 
 def toy_checkpoint():

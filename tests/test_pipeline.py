@@ -3,14 +3,14 @@ import hashlib
 import numpy as np
 
 from fastpoint import pipeline, train
-from fastpoint.anchors import build_anchor_grid
+from fastpoint.anchors import assign_targets, build_anchor_grid
 from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.geometry import Box3D
 from fastpoint.nn import RefinerNet, VoxelRPN
 from fastpoint.pipeline import (FrameResult, infer_frame, mean_matched_iou3d,
                                 proposal_recall, select_proposals)
-from fastpoint.postprocess import Detection
+from fastpoint.postprocess import Detection, nms_rotated
 from fastpoint.synthetic import generate_dataset
 
 
@@ -138,3 +138,44 @@ def test_mean_matched_iou3d_picks_best_bev_match():
 def test_mean_matched_iou3d_unmatched_is_zero():
     assert mean_matched_iou3d({"f": [Detection(box_at(30), 0.9)]},
                               {"f": [box_at(0)]}) == 0.0
+
+
+def test_pairwise_iou_consumers_pinned():
+    # taken before NMS, assign_targets and the toy metrics shared one pairwise
+    # IoU: kept lists, labels and metrics must not move a bit. Each gt gets a
+    # jittered proposal and a copy of it shifted in z (equal BEV IoU, unequal
+    # 3D IoU), so the metrics' tie rules show in the digest.
+    cfg = toy_config()
+    anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), cfg.voxel_spec())
+    frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 4, 3)
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    results, gts = [], {}
+    for frame_id, _, frame_gts in frames:
+        asn = assign_targets(anchor_set, frame_gts, cfg.anchors.pos_iou, cfg.anchors.neg_iou)
+        digest.update(asn.labels.tobytes() + asn.matched_gt.tobytes())
+        boxes = []
+        for g in frame_gts:
+            near = Box3D(g.x + rng.normal(0, 0.3), g.y + rng.normal(0, 0.3), g.z,
+                         g.l, g.w, g.h, g.theta + rng.normal(0, 0.1))
+            boxes += [near, Box3D(near.x, near.y, near.z + 0.3, near.l, near.w, near.h,
+                                  near.theta)]
+        boxes += [Box3D(rng.uniform(0, 12.8), rng.uniform(-6.4, 6.4), -0.8,
+                        rng.uniform(2, 5), rng.uniform(1, 2), 1.5, rng.uniform(-3, 3))
+                  for _ in range(12)]
+        scores = np.round(rng.uniform(0, 1, len(boxes)), 1)
+        for thresh in (0.0, 0.1, 0.5):
+            digest.update(np.array(nms_rotated(boxes, scores, thresh)).tobytes())
+        dets = [Detection(b, float(s)) for b, s in zip(boxes, scores)]
+        kept = nms_rotated(boxes, scores, cfg.post.nms_iou)
+        results.append(FrameResult(frame_id, dets, [dets[i] for i in kept]))
+        gts[frame_id] = frame_gts
+    dets = {r.frame_id: r.detections for r in results}
+    props = {r.frame_id: r.proposals for r in results}
+    digest.update(np.array([proposal_recall(results, gts, 0.5),
+                            proposal_recall(results, gts, 0.0),
+                            mean_matched_iou3d(dets, gts),
+                            mean_matched_iou3d(props, gts),
+                            mean_matched_iou3d(dets, gts, 0.0)]).tobytes())
+    assert digest.hexdigest() == (
+        "5011d4d7bd12371c01c2962ceac930428fdb7fb66307a19a7829b68868203fd2")

@@ -46,6 +46,30 @@ def test_nms_matches_brute_force_random():
         assert nms_rotated(boxes, scores, 0.2) == brute_force_nms(boxes, scores, 0.2)
 
 
+def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
+    # a box ranked above a kept box is suppressed or kept, and a kept one was
+    # already tested against it; a pair beyond the circumradii cannot overlap
+    rng = np.random.default_rng(1)
+    boxes = [random_bev_box(rng, 6.0) for _ in range(30)] + [BoxBEV(90, 90, 2, 1, 0)]
+    scores = rng.uniform(0, 1, len(boxes))
+    rank = {id(b): r for r, b in enumerate(boxes[i] for i in np.argsort(-scores))}
+    want = brute_force_nms(boxes, scores, 0.2)
+    pairs = []
+    scalar = geometry.iou_bev
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return scalar(a, b)
+
+    monkeypatch.setattr(geometry, "iou_bev", counting)
+    assert nms_rotated(boxes, scores, 0.2) == want
+    assert pairs
+    for a, b in pairs:
+        assert rank[id(a)] < rank[id(b)]
+        assert math.hypot(a.x - b.x, a.y - b.y) <= (math.hypot(a.l, a.w)
+                                                    + math.hypot(b.l, b.w)) / 2
+
+
 def test_nms_rejects_bad_inputs():
     with pytest.raises(ValueError):
         nms_rotated([BoxBEV(0, 0, 1, 1, 0)], np.array([np.nan]), 0.5)

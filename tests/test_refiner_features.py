@@ -6,7 +6,7 @@ from fastpoint.geometry import Box3D
 from fastpoint.errors import EmptyProposal
 from fastpoint.kitti import PointCloud
 from fastpoint.refiner_features import (BoxFeature, build_box_feature, crop_points,
-                                        lookup_feature, lookup_features)
+                                        lookup_features)
 from fastpoint.voxels import VoxelSpec
 
 
@@ -17,6 +17,17 @@ def spec(x, y):
 
 def cloud(*rows):
     return PointCloud(np.array(rows, dtype=float))
+
+
+def lookup_feature(point_xy, feature_map, world_extent, world_origin):
+    """Reference for lookup_features: the feature of the one BEV cell that
+    contains (x, y), indices clamped to the map."""
+    c_f, l_f, w_f = feature_map.shape
+    x = point_xy[0] - world_origin[0]
+    y = point_xy[1] - world_origin[1]
+    ix = min(max(int(np.floor(x * l_f / world_extent[0])), 0), l_f - 1)
+    iy = min(max(int(np.floor(y * w_f / world_extent[1])), 0), w_f - 1)
+    return feature_map[:, ix, iy]
 
 
 def test_crop_keeps_interior_and_margin_band():
@@ -45,15 +56,15 @@ def test_lookup_feature_cell_indexing():
     # 70.4 m extent over 176 cells: x = 35.2 m lands in cell 88
     fmap = np.zeros((2, 176, 200))
     fmap[:, 88, 100] = [3.0, 4.0]
-    got = lookup_feature((35.2, 0.0), fmap, world_extent=(70.4, 80.0),
-                         world_origin=(0.0, -40.0))
-    assert np.allclose(got, [3.0, 4.0])
+    got = lookup_features(np.array([[35.2, 0.0]]), fmap, world_extent=(70.4, 80.0),
+                          world_origin=(0.0, -40.0))
+    assert np.allclose(got, [[3.0, 4.0]])
 
 
 def test_lookup_feature_clamps_to_edges():
     fmap = np.arange(12, dtype=float).reshape(1, 3, 4)
-    lo = lookup_feature((-5.0, -5.0), fmap, (3.0, 4.0), (0.0, 0.0))
-    hi = lookup_feature((99.0, 99.0), fmap, (3.0, 4.0), (0.0, 0.0))
+    lo, hi = lookup_features(np.array([[-5.0, -5.0], [99.0, 99.0]]), fmap,
+                             (3.0, 4.0), (0.0, 0.0))
     assert lo[0] == fmap[0, 0, 0]
     assert hi[0] == fmap[0, 2, 3]
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.geometry import Box3D
 from fastpoint.nn import Parameters, RefinerNet, VoxelRPN
+from fastpoint.postprocess import Detection
 from fastpoint.synthetic import generate_dataset
 from fastpoint.train import (Adam, SGD, _jitter_proposal, _lr_at, make_optimizer,
                              merge_parameters, prepare_frames, rpn_loss)
@@ -73,6 +75,20 @@ def test_jitter_proposal_overlaps_gt():
     for _ in range(20):
         prop = _jitter_proposal(gt, rng, min_iou=0.5)
         assert geometry.iou_bev(prop.bev(), gt.bev()) > 0.5
+
+
+def test_refiner_pairs_match_first_best_gt_strictly_above_threshold():
+    cfg = toy_config()
+    gt = Box3D(5.0, 1.0, -0.8, 3.9, 1.7, 1.56, 0.4)
+    twin = Box3D(gt.x, gt.y, gt.z + 1.0, gt.l, gt.w, gt.h, gt.theta)   # same BEV
+    on_gt = Detection(Box3D(gt.x + 0.2, gt.y, gt.z, gt.l, gt.w, gt.h, gt.theta), 0.9)
+    far = Detection(Box3D(20.0, 1.0, -0.8, 3.9, 1.7, 1.56, 0.0), 0.8)
+    frame = SimpleNamespace(gts=[gt, twin])
+    pairs = train._refiner_training_pairs([far, on_gt], frame, cfg)
+    assert [(d, g) for d, g in pairs] == [(on_gt, gt)]
+    cfg.post.refiner_pos_iou = geometry.iou_bev(on_gt.box.bev(), gt.bev())
+    assert train._refiner_training_pairs([on_gt], frame, cfg) == []
+    assert train._refiner_training_pairs([on_gt], SimpleNamespace(gts=[]), cfg) == []
 
 
 def test_merge_parameters_combines_both_networks():

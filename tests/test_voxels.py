@@ -260,3 +260,31 @@ def test_load_rejects_wrong_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_grid(p)
+
+
+def small_dump(tmp_path):
+    rng = np.random.default_rng(4)
+    pts = np.hstack([rng.uniform(0.0, 1.999, size=(25, 3)) * [1, 1, 0.5],
+                     rng.uniform(size=(25, 1))])
+    p = tmp_path / "g.voxels"
+    dump_grid(p, voxelize(PointCloud(pts), small_spec(cap=4), seed=1))
+    return p
+
+
+def test_load_rejects_dump_cut_short(tmp_path):
+    p = small_dump(tmp_path)
+    raw = p.read_bytes()
+    # inside the records; inside the header; a header counting 2^44 voxels
+    for dump in (raw[:len(raw) // 2], raw[:30], raw[:96] + (2 ** 44).to_bytes(8, "little")):
+        p.write_bytes(dump)
+        with pytest.raises(ValueError, match="cut short"):
+            load_grid(p)
+
+
+def test_load_rejects_dims_that_disagree_with_range(tmp_path):
+    p = small_dump(tmp_path)
+    raw = bytearray(p.read_bytes())
+    raw[8:12] = (7).to_bytes(4, "little")      # first of the three header dims
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="dims"):
+        load_grid(p)
