@@ -46,6 +46,7 @@ class AnchorSpec:
 @dataclass
 class AnchorSet:
     boxes: np.ndarray      # (N, 7) rows (x, y, z, l, w, h, theta)
+    bev: np.ndarray        # (N, 5) geometry.bev_rows of the boxes
     diag: np.ndarray       # (N,) BEV diagonal per anchor
     map_dims: tuple        # (H_f, W_f) = (y cells, x cells)
     spec: AnchorSpec
@@ -100,7 +101,11 @@ def build_anchor_grid(map_dims: tuple, spec: AnchorSpec, world: VoxelSpec) -> An
     boxes_view[..., 5] = sizes[None, :, None, 2]
     boxes_view[..., 6] = angles[None, None, :]
     diag = np.broadcast_to(spec.diagonals()[None, :, None], (h_f * w_f, s, a)).ravel().copy()
-    return AnchorSet(boxes, diag, (h_f, w_f), spec)
+    # theta normalized as a BoxBEV would hold it
+    bev = boxes[:, [0, 1, 3, 4, 6]]
+    bev_angles = np.array([normalize_angle(t) for t in spec.angles])
+    bev[:, 4] = np.broadcast_to(bev_angles[None, None, :], (h_f * w_f, s, a)).ravel()
+    return AnchorSet(boxes, bev, diag, (h_f, w_f), spec)
 
 
 def assign_targets(anchors: AnchorSet, gts: list, pos_iou: float, neg_iou: float) -> TargetAssignment:
@@ -119,8 +124,7 @@ def assign_targets(anchors: AnchorSet, gts: list, pos_iou: float, neg_iou: float
     if not gts:
         return TargetAssignment(labels, reg, matched)
 
-    iou = geometry.iou_bev_matrix(
-        [geometry.BoxBEV(r[0], r[1], r[3], r[4], r[6]) for r in anchors.boxes], gts)
+    iou = geometry.iou_bev_matrix(anchors.bev, geometry.bev_rows(gts))
     best_gt = iou.argmax(axis=1)
     best_iou = iou[np.arange(n), best_gt]
 

@@ -152,7 +152,12 @@ class Tensor:
         out = _make((self, other), self.data @ other.data)
         if out._parents:
             a, b = self, other
-            out._backward = lambda g: (g @ b.data.T, a.data.T @ g)
+            # batched operands: transpose the matrix axes, then sum the
+            # gradient over the batch axes an operand was broadcast along
+            out._backward = lambda g: (
+                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+            )
         return out
 
     # ------------------------------------------------------------ reductions

@@ -1,5 +1,9 @@
 """Oriented 3D box math: corners, rotated IoU, canonization, containment.
 
+Rotated BEV IoU comes in two forms with one clipping rule: the scalar
+iou_bev on two boxes, and iou_bev_matrix on (N, 5) rows (x, y, l, w,
+theta) from bev_rows, which clips every nearby pair at once.
+
 Conventions: LiDAR frame with +x forward, +z up; yaw theta measured CCW
 about +z from the +x axis and normalized to (-pi, pi]. Corner order is
 fixed: bottom face CCW starting at (+l/2, +w/2, -h/2), then the top face
@@ -12,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ShapeMismatch
 
 # intersection areas below this are treated as zero (collinear-vertex noise)
 _AREA_EPS = 1e-12
@@ -132,26 +138,99 @@ def iou_bev(a: BoxBEV, b: BoxBEV) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def bev_of(box) -> BoxBEV:
-    """A BoxBEV as is, a Box3D projected to BEV."""
-    return box.bev() if isinstance(box, Box3D) else box
+def bev_rows(boxes: list) -> np.ndarray:
+    """(N, 5) rows (x, y, l, w, theta) of a list of BoxBEV or Box3D."""
+    return np.array([(b.x, b.y, b.l, b.w, b.theta) for b in boxes],
+                    dtype=np.float64).reshape(-1, 5)
 
 
-def iou_bev_matrix(boxes_a: list, boxes_b: list) -> np.ndarray:
-    """Pairwise BEV IoU (N, M) of two lists of BoxBEV or Box3D (projected).
+def _corners_rows(rows: np.ndarray) -> np.ndarray:
+    """Corners (P, 4, 2) of BEV rows, in corners_bev's order and arithmetic."""
+    x, y, l, w, theta = (rows[:, k:k + 1] for k in range(5))
+    c, s = np.cos(theta), np.sin(theta)
+    hx = l / 2 * np.array([1.0, -1.0, -1.0, 1.0])
+    hy = w / 2 * np.array([1.0, 1.0, -1.0, -1.0])
+    return np.stack([hx * c - hy * s + x, hx * s + hy * c + y], axis=-1)
 
-    iou_bev runs only on pairs whose centers lie within the sum of their
-    circumradii; every other pair cannot overlap and reads 0.
+
+def _next_vertex(n: np.ndarray, width: int) -> np.ndarray:
+    """(P, width) index of each vertex's successor in a polygon of n[p] vertices."""
+    i = np.arange(width)
+    return np.where(i + 1 < n[:, None], i + 1, 0)
+
+
+def _iou_bev_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV IoU (P,) of the row pairs a[k], b[k] ((P, 5) each).
+
+    Sutherland-Hodgman clipping of every a rectangle by the four edges of
+    its b partner at once, with iou_bev's side test, intersection point,
+    shoelace area and _AREA_EPS cut-off. Polygons live in zero-padded
+    (P, width, 2) vertex arrays with a vertex count per pair; width is at
+    most 8 in exact arithmetic and follows the largest count otherwise.
     """
-    a, b = [bev_of(p) for p in boxes_a], [bev_of(p) for p in boxes_b]
-    ca = np.array([(p.x, p.y, math.hypot(p.l, p.w)) for p in a]).reshape(-1, 3)
-    cb = np.array([(p.x, p.y, math.hypot(p.l, p.w)) for p in b]).reshape(-1, 3)
-    dist = np.hypot(ca[:, None, 0] - cb[None, :, 0], ca[:, None, 1] - cb[None, :, 1])
+    poly, cb = _corners_rows(a), _corners_rows(b)
+    pair = np.arange(len(a))[:, None]
+    n = np.full(len(a), 4)
+    for k in range(4):
+        e0 = cb[:, k, None, :]
+        e = cb[:, (k + 1) % 4, None, :] - e0
+        nxt = _next_vertex(n, poly.shape[1])
+        # interior of a CCW polygon lies on the left of each directed edge
+        dp = e[..., 0] * (poly[..., 1] - e0[..., 1]) - e[..., 1] * (poly[..., 0] - e0[..., 0])
+        dq = dp[pair, nxt]
+        valid = np.arange(poly.shape[1]) < n[:, None]
+        inside = valid & (dp >= 0)
+        cross = valid & (inside != (dq >= 0))
+        # each vertex emits itself if inside, then the edge crossing if any
+        emitted = inside.astype(np.int64) + cross
+        start = np.cumsum(emitted, axis=1) - emitted
+        n = emitted.sum(axis=1)
+        out = np.zeros((len(a), n.max(initial=0), 2))
+        r, c = np.nonzero(inside)
+        out[r, start[r, c]] = poly[r, c]
+        r, c = np.nonzero(cross)
+        p, q = poly[r, c], poly[r, nxt[r, c]]
+        t = dp[r, c] / (dp[r, c] - dq[r, c])
+        out[r, start[r, c] + inside[r, c]] = p + t[:, None] * (q - p)
+        poly = out
+    # zero padding adds nothing to the shoelace sums
+    q = poly[pair, _next_vertex(n, poly.shape[1])]
+    shoelace = (np.sum(poly[..., 0] * q[..., 1], axis=1)
+                - np.sum(poly[..., 1] * q[..., 0], axis=1))
+    area = np.abs(0.5 * shoelace)
+    inter = np.where((n >= 3) & (area >= _AREA_EPS), area, 0.0)
+    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+def _checked_rows(rows) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ShapeMismatch(f"BEV rows must be (N, 5) (x, y, l, w, theta), got {rows.shape}")
+    rows = rows.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("BEV rows must be finite")
+    if not np.all(rows[:, 2:4] > 0):
+        raise ValueError("BEV box dimensions must be positive")
+    return rows
+
+
+def iou_bev_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Pairwise BEV IoU (N, M) of (N, 5) and (M, 5) rows (x, y, l, w, theta),
+    as built by bev_rows.
+
+    Only pairs whose centers lie within the sum of their circumradii reach
+    the pair kernel, all in one call (none when no pair is that close);
+    every other pair cannot overlap and reads 0.
+    """
+    a, b = _checked_rows(rows_a), _checked_rows(rows_b)
+    ra, rb = np.hypot(a[:, 2], a[:, 3]) / 2, np.hypot(b[:, 2], b[:, 3]) / 2
+    dist = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
     out = np.zeros(dist.shape)
-    for i, j in zip(*np.nonzero(dist <= (ca[:, None, 2] + cb[None, :, 2]) / 2)):
-        # looked up as the module global on each call, so a wrapped iou_bev
-        # sees every pair
-        out[i, j] = iou_bev(a[i], b[j])
+    i, j = np.nonzero(dist <= ra[:, None] + rb[None, :])
+    if len(i):
+        # looked up as the module global, so a wrapped kernel sees every pair
+        out[i, j] = _iou_bev_pairs(a[i], b[j])
     return out
 
 
@@ -205,12 +284,6 @@ def canonize_box(frame: Box3D, subject: Box3D) -> Box3D:
     center = canonize_points(frame, subject.as_array()[None, :3])[0]
     return Box3D(center[0], center[1], center[2], subject.l, subject.w, subject.h,
                  normalize_angle(subject.theta - frame.theta))
-
-
-def uncanonize_box(frame: Box3D, subject: Box3D) -> Box3D:
-    center = uncanonize_points(frame, subject.as_array()[None, :3])[0]
-    return Box3D(center[0], center[1], center[2], subject.l, subject.w, subject.h,
-                 normalize_angle(subject.theta + frame.theta))
 
 
 def points_in_box(points: np.ndarray, b: Box3D, margin: float = 0.0) -> np.ndarray:

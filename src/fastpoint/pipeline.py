@@ -91,7 +91,8 @@ def proposal_recall(results: list, gts_by_frame: dict, iou_thresh: float = 0.5) 
     for res in results:
         gts = gts_by_frame[res.frame_id]
         total += len(gts)
-        iou = geometry.iou_bev_matrix([p.box for p in res.proposals], gts)
+        iou = geometry.iou_bev_matrix(geometry.bev_rows([p.box for p in res.proposals]),
+                                      geometry.bev_rows(gts))
         covered += int(np.sum(np.any(iou >= iou_thresh, axis=0)))
     return covered / total if total else 0.0
 
@@ -105,7 +106,8 @@ def mean_matched_iou3d(dets_by_frame: dict, gts_by_frame: dict,
         dets = dets_by_frame.get(frame_id, [])
         if not dets:
             continue
-        iou = geometry.iou_bev_matrix([d.box for d in dets], gts)
+        iou = geometry.iou_bev_matrix(geometry.bev_rows([d.box for d in dets]),
+                                      geometry.bev_rows(gts))
         for j, gt in enumerate(gts):
             col = iou[:, j]
             if col.max() >= match_iou_bev:

@@ -40,10 +40,10 @@ def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    bevs = [geometry.bev_of(b) for b in boxes]
+    rows = geometry.bev_rows(boxes)
     order = np.argsort(-scores, kind="stable")
     kept = []
-    suppressed = np.zeros(len(bevs), dtype=bool)
+    suppressed = np.zeros(len(rows), dtype=bool)
     for rank, i in enumerate(order):
         if suppressed[i]:
             continue
@@ -52,7 +52,7 @@ def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
         # already tested against i: only the later unsuppressed ones remain
         later = order[rank + 1:]
         later = later[~suppressed[later]]
-        iou = geometry.iou_bev_matrix([bevs[i]], [bevs[j] for j in later])[0]
+        iou = geometry.iou_bev_matrix(rows[i:i + 1], rows[later])[0]
         suppressed[later[iou > iou_thresh]] = True
     return kept
 

@@ -138,11 +138,13 @@ def run_selftest(quick: bool = True, report=print) -> bool:
         rng = np.random.default_rng(0)
         n_pairs = 20 if quick else 200
         n_samples = 200_000 if quick else 1_000_000
-        for k in range(n_pairs):
-            a, b = random_bev_box(rng), random_bev_box(rng)
-            got = geometry.iou_bev(a, b)
+        pairs = [(random_bev_box(rng), random_bev_box(rng)) for _ in range(n_pairs)]
+        batched = geometry.iou_bev_matrix(geometry.bev_rows([a for a, _ in pairs]),
+                                          geometry.bev_rows([b for _, b in pairs])).diagonal()
+        for k, (a, b) in enumerate(pairs):
             ref = mc_iou_bev(a, b, n_samples, seed=k)
-            assert abs(got - ref) <= 5e-3, f"pair {k}: {got} vs MC {ref}"
+            for path, got in (("scalar", geometry.iou_bev(a, b)), ("batched", batched[k])):
+                assert abs(got - ref) <= 5e-3, f"pair {k}: {path} {got} vs MC {ref}"
 
     def roundtrip_suite():
         rng = np.random.default_rng(1)
@@ -191,7 +193,7 @@ def run_selftest(quick: bool = True, report=print) -> bool:
                 for b in range(a + 1, len(gts2)):
                     assert geometry.iou_bev(gts2[a].bev(), gts2[b].bev()) == 0.0
 
-    suite("geometry.iou_bev vs Monte-Carlo", geometry_suite)
+    suite("geometry.iou_bev and iou_bev_matrix vs Monte-Carlo", geometry_suite)
     suite("encode/decode round-trips", roundtrip_suite)
     suite("loss hand values", loss_suite)
     suite("rotated NMS vs brute force", nms_suite)

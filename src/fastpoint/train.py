@@ -162,7 +162,8 @@ def _refiner_training_pairs(proposals, frame: PreparedFrame, cfg: PipelineConfig
     refiner_pos_iou; of equal best gts the first is matched."""
     if not frame.gts:
         return []
-    iou = geometry.iou_bev_matrix([det.box for det in proposals], frame.gts)
+    iou = geometry.iou_bev_matrix(geometry.bev_rows([det.box for det in proposals]),
+                                  geometry.bev_rows(frame.gts))
     pairs = [(det, frame.gts[g]) for det, g, best in
              zip(proposals, iou.argmax(axis=1), iou.max(axis=1))
              if best > cfg.post.refiner_pos_iou]

@@ -33,6 +33,12 @@ def test_anchor_count_and_layout():
     assert np.allclose(anchors.boxes[16:20, 1], -1.0)
 
 
+def test_anchor_bev_rows_are_the_boxes_bev():
+    anchors = grid()
+    assert np.array_equal(anchors.bev,
+                          geometry.bev_rows([Box3D.from_array(r).bev() for r in anchors.boxes]))
+
+
 def test_anchor_z_and_dims():
     anchors = grid()
     assert np.allclose(anchors.boxes[:, 2], -1.0)
@@ -53,7 +59,7 @@ def test_assignment_bands():
     assert asn.labels[0] == A.POSITIVE
     assert asn.matched_gt[0] == 0
     # anchors overlapping the gt at intermediate IoU are ignored, distant negative
-    ious = geometry.iou_bev_matrix([Box3D.from_array(r) for r in anchors.boxes], [gt])[:, 0]
+    ious = geometry.iou_bev_matrix(anchors.bev, geometry.bev_rows([gt]))[:, 0]
     for i, v in enumerate(ious):
         if v >= 0.6:
             assert asn.labels[i] == A.POSITIVE
@@ -70,7 +76,7 @@ def test_every_overlapped_gt_gets_a_positive():
     asn = A.assign_targets(anchors, [gt], pos_iou=0.95, neg_iou=0.45)
     assert len(asn.positive_indices) == 1
     i = asn.positive_indices[0]
-    ious = geometry.iou_bev_matrix([Box3D.from_array(r) for r in anchors.boxes], [gt])[:, 0]
+    ious = geometry.iou_bev_matrix(anchors.bev, geometry.bev_rows([gt]))[:, 0]
     assert i == ious.argmax()
 
 

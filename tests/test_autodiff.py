@@ -57,6 +57,14 @@ def test_pow_matmul_grads():
     check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3), (3, 4)])
 
 
+def test_batched_matmul_broadcast_matrix_grads():
+    check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(5, 4, 3), (3, 2)])
+
+
+def test_batched_matmul_grads():
+    check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(5, 4, 3), (5, 3, 2)])
+
+
 def test_mean_axis_and_keepdims():
     x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
     m = x.mean(axis=0)

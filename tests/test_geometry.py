@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastpoint import geometry
+from fastpoint.errors import ShapeMismatch
 from fastpoint.geometry import Box3D, BoxBEV
 from fastpoint.selfcheck import (brute_force_points_in_box, mc_iou_bev, random_bev_box,
                                  random_box3d)
@@ -97,12 +98,27 @@ def test_self_iou_and_symmetry(x, y, l, w, theta):
     assert 0.0 <= geometry.iou_bev(b, other) <= 1.0
 
 
+def bev(box) -> BoxBEV:
+    return box.bev() if isinstance(box, Box3D) else box
+
+
+def shoelace_slack(boxes) -> float:
+    """How far the IoU can move when the shoelace sums its products in
+    another order: a few eps * |corner|**2 / area, which is large for a
+    small box far from the origin."""
+    bevs = [bev(b) for b in boxes]
+    reach2 = max(float(np.max(np.sum(geometry.corners_bev(b) ** 2, axis=1))) for b in bevs)
+    return 32 * np.finfo(float).eps * reach2 / min(b.l * b.w for b in bevs)
+
+
 def assert_matrix_is_pairwise_scalar(boxes_a, boxes_b):
-    mat = geometry.iou_bev_matrix(boxes_a, boxes_b)
+    mat = geometry.iou_bev_matrix(geometry.bev_rows(boxes_a), geometry.bev_rows(boxes_b))
     assert mat.shape == (len(boxes_a), len(boxes_b))
-    for i, a in enumerate(boxes_a):
-        for j, b in enumerate(boxes_b):
-            assert mat[i, j] == geometry.iou_bev(geometry.bev_of(a), geometry.bev_of(b))
+    ref = np.array([[geometry.iou_bev(bev(a), bev(b)) for b in boxes_b]
+                    for a in boxes_a]).reshape(mat.shape)
+    # the same clipping on arrays: only the shoelace's summation order differs
+    tol = max(1e-12, shoelace_slack(list(boxes_a) + list(boxes_b)))
+    assert np.allclose(mat, ref, rtol=0, atol=tol)
 
 
 def test_iou_bev_matrix_matches_scalar():
@@ -115,14 +131,86 @@ def test_iou_bev_matrix_matches_scalar():
 
 def test_iou_bev_matrix_far_touching_and_empty():
     square = BoxBEV(0, 0, 1, 1, 0)
+    rows = geometry.bev_rows
     # far apart; and corner to corner, where the center distance is exactly
     # the sum of the circumradii
     assert_matrix_is_pairwise_scalar([square], [BoxBEV(30, -20, 4, 2, 0.5)])
     assert_matrix_is_pairwise_scalar([square], [BoxBEV(1, 1, 1, 1, 0)])
-    assert geometry.iou_bev_matrix([square], [BoxBEV(1, 1, 1, 1, 0)])[0, 0] == 0.0
-    assert geometry.iou_bev_matrix([], [square]).shape == (0, 1)
-    assert geometry.iou_bev_matrix([square], []).shape == (1, 0)
-    assert geometry.iou_bev_matrix([], []).shape == (0, 0)
+    assert geometry.iou_bev_matrix(rows([square]), rows([BoxBEV(1, 1, 1, 1, 0)]))[0, 0] == 0.0
+    assert geometry.iou_bev_matrix(rows([]), rows([square])).shape == (0, 1)
+    assert geometry.iou_bev_matrix(rows([square]), rows([])).shape == (1, 0)
+    assert geometry.iou_bev_matrix(rows([]), rows([])).shape == (0, 0)
+
+
+def test_iou_bev_matrix_rejects_rows_that_are_not_n_by_5():
+    good = geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)])
+    for bad in (np.zeros((2, 4)), np.zeros(5), np.zeros((1, 5, 1)), [BoxBEV(0, 0, 1, 1, 0)]):
+        with pytest.raises(ShapeMismatch):
+            geometry.iou_bev_matrix(bad, good)
+        with pytest.raises(ShapeMismatch):
+            geometry.iou_bev_matrix(good, bad)
+
+
+def test_iou_bev_matrix_rejects_nonfinite_or_flat_rows():
+    good = geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)])
+    for k, v, msg in ((0, np.nan, "finite"), (4, np.inf, "finite"),
+                      (2, 0.0, "positive"), (3, -1.0, "positive")):
+        bad = good.copy()
+        bad[0, k] = v
+        with pytest.raises(ValueError, match=msg):
+            geometry.iou_bev_matrix(bad, good)
+        with pytest.raises(ValueError, match=msg):
+            geometry.iou_bev_matrix(good, bad)
+
+
+def degenerate_pair(family: str, a: BoxBEV, b: BoxBEV):
+    """a and a partner built from b in one of the clipping's degenerate
+    configurations; "random" keeps b."""
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    if family == "identical":
+        return a, a
+    if family == "shared_edge":
+        # b's length, a's width, abutting a along a's length axis
+        d = (a.l + b.l) / 2
+        return a, BoxBEV(a.x + d * c, a.y + d * s, b.l, a.w, a.theta)
+    if family == "corners_touching":
+        dl, dw = (a.l + b.l) / 2, (a.w + b.w) / 2
+        return a, BoxBEV(a.x + dl * c - dw * s, a.y + dl * s + dw * c, b.l, b.w, a.theta)
+    if family == "contained":
+        # circumradius plus offset stay inside a's inscribed circle
+        m = min(a.l, a.w)
+        return a, BoxBEV(a.x + 0.05 * m * c, a.y + 0.05 * m * s, 0.3 * m, 0.2 * m, b.theta)
+    if family in ("turn_90", "turn_180"):
+        turn = math.pi / 2 if family == "turn_90" else math.pi
+        return a, BoxBEV(a.x + 0.1 * b.x, a.y + 0.1 * b.y, a.l, a.w, a.theta + turn)
+    if family == "sub_mm":
+        tiny = lambda box: BoxBEV(1e-4 * box.x, 1e-4 * box.y, 1e-4 * box.l, 1e-4 * box.w,
+                                  box.theta)
+        return tiny(a), tiny(b)
+    return a, b
+
+
+bev_boxes = st.builds(BoxBEV, st.floats(-3, 3), st.floats(-3, 3), st.floats(0.2, 5),
+                      st.floats(0.2, 5), st.floats(-math.pi, math.pi))
+
+
+@given(st.sampled_from(["random", "identical", "shared_edge", "corners_touching",
+                        "contained", "turn_90", "turn_180", "sub_mm"]), bev_boxes, bev_boxes)
+@settings(max_examples=300, deadline=None)
+def test_iou_bev_matrix_equals_scalar_on_degenerate_pairs(family, a, b):
+    pair = degenerate_pair(family, a, b)
+    # both orders and both self pairs
+    assert_matrix_is_pairwise_scalar(pair, pair)
+
+
+def test_iou_bev_matrix_matches_monte_carlo():
+    rng = np.random.default_rng(7)
+    a = [random_bev_box(rng, 1.5) for _ in range(6)]
+    b = [random_bev_box(rng, 1.5) for _ in range(6)]
+    got = np.diag(geometry.iou_bev_matrix(geometry.bev_rows(a), geometry.bev_rows(b)))
+    assert np.any(got > 0.05)
+    for k in range(6):
+        assert got[k] == pytest.approx(mc_iou_bev(a[k], b[k], 400_000, seed=k), abs=5e-3)
 
 
 def test_canonize_points_roundtrip():
@@ -139,13 +227,20 @@ def test_canonize_points_2d():
     assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
 
 
+def uncanonize_box(frame: Box3D, subject: Box3D) -> Box3D:
+    """Reference inverse of canonize_box."""
+    center = geometry.uncanonize_points(frame, subject.as_array()[None, :3])[0]
+    return Box3D(center[0], center[1], center[2], subject.l, subject.w, subject.h,
+                 geometry.normalize_angle(subject.theta + frame.theta))
+
+
 def test_canonize_box_roundtrip_and_center():
     frame = Box3D(2, 3, -1, 4, 2, 1.5, 0.6)
     sub = Box3D(2.5, 3.5, -0.8, 3.8, 1.9, 1.4, 0.9)
     canon = geometry.canonize_box(frame, sub)
     self_canon = geometry.canonize_box(frame, frame)
     assert np.allclose([self_canon.x, self_canon.y, self_canon.z, self_canon.theta], 0, atol=1e-12)
-    back = geometry.uncanonize_box(frame, canon)
+    back = uncanonize_box(frame, canon)
     assert np.allclose(back.as_array(), sub.as_array(), atol=1e-12)
 
 

@@ -44,6 +44,10 @@ def test_nms_matches_brute_force_random():
         boxes = [random_bev_box(rng, 6.0) for _ in range(40)]
         scores = rng.uniform(0, 1, 40)
         assert nms_rotated(boxes, scores, 0.2) == brute_force_nms(boxes, scores, 0.2)
+        # tied scores, broken by index
+        ties = np.round(scores, 1)
+        for thresh in (0.0, 0.1, 0.5):
+            assert nms_rotated(boxes, ties, thresh) == brute_force_nms(boxes, ties, thresh)
 
 
 def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
@@ -52,16 +56,17 @@ def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
     rng = np.random.default_rng(1)
     boxes = [random_bev_box(rng, 6.0) for _ in range(30)] + [BoxBEV(90, 90, 2, 1, 0)]
     scores = rng.uniform(0, 1, len(boxes))
+    box_of = {tuple(r): b for r, b in zip(geometry.bev_rows(boxes), boxes)}
     rank = {id(b): r for r, b in enumerate(boxes[i] for i in np.argsort(-scores))}
     want = brute_force_nms(boxes, scores, 0.2)
     pairs = []
-    scalar = geometry.iou_bev
+    kernel = geometry._iou_bev_pairs
 
-    def counting(a, b):
-        pairs.append((a, b))
-        return scalar(a, b)
+    def counting(rows_a, rows_b):
+        pairs.extend((box_of[tuple(a)], box_of[tuple(b)]) for a, b in zip(rows_a, rows_b))
+        return kernel(rows_a, rows_b)
 
-    monkeypatch.setattr(geometry, "iou_bev", counting)
+    monkeypatch.setattr(geometry, "_iou_bev_pairs", counting)
     assert nms_rotated(boxes, scores, 0.2) == want
     assert pairs
     for a, b in pairs:
