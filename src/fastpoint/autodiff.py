@@ -184,12 +184,13 @@ class Tensor:
         """Max along one axis; gradient routes to the first argmax."""
         out = _make((self,), self.data.max(axis=axis))
         if out._parents:
-            idx = np.argmax(self.data, axis=axis)
-            shape = self.data.shape
+            x = self.data
 
             def bwd(g):
-                gx = np.zeros(shape)
-                np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+                # the argmax is taken here, so a forward without backward skips it
+                idx = np.expand_dims(np.argmax(x, axis=axis), axis)
+                gx = np.zeros(x.shape)
+                np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
                 return (gx,)
 
             out._backward = bwd
@@ -315,8 +316,8 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
         shape = x.data.shape
 
         def bwd(g):
-            gx = np.zeros(int(np.prod(shape)))
-            np.add.at(gx, indices.ravel(), g.ravel())
+            # bincount adds in index order, as np.add.at would, but faster
+            gx = np.bincount(indices.ravel(), weights=g.ravel(), minlength=int(np.prod(shape)))
             return (gx.reshape(shape),)
 
         out._backward = bwd

@@ -6,9 +6,10 @@ convolution is zero-dilation plus a flipped-kernel convolution. Layouts
 are channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
-occupied voxel, scattered into the dense grid, six 3D conv layers
-collapsing Z to 1, three 2D conv blocks, three deconvolution branches
-fused by channel concat, and 1x1 classification / regression heads. The
+occupied voxel, six 3D conv layers collapsing Z to 1 (the first reads the
+occupied voxels' feature rows through a rulebook and writes a dense map),
+three 2D conv blocks, three deconvolution branches fused by channel
+concat, and 1x1 classification / regression heads. The
 refiner is a PointNet over canonized in-box points whose coordinate
 embedding is fused with indexed backbone features through a learned
 sigmoid attention gate.
@@ -162,6 +163,83 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     cout = w.shape[0]
     out = w.reshape(cout, -1) @ cols + b.reshape(cout, 1)
     return out.reshape((cout,) + out_spatial)
+
+
+_GEMM_GROUP = 16  # a multiple of the output-row unroll of the BLAS dgemm kernels
+
+
+def _gemm_sites(pair_site: np.ndarray, size: int) -> np.ndarray:
+    """Sorted output sites whose im2col columns conv_voxels multiplies.
+
+    A BLAS dgemm kernel may round an output column differently when it
+    falls in the last, partial group of columns. So that every column is
+    computed as in conv_nd's product over all size sites, the reached sites
+    before that partial group are padded with unreached ones (zero columns,
+    whose sum is the dense one) to whole groups, and the partial group's
+    sites are always computed.
+    """
+    used = np.zeros(size, dtype=bool)
+    used[pair_site] = True
+    tail = size - size % _GEMM_GROUP
+    fill = -np.count_nonzero(used[:tail]) % _GEMM_GROUP
+    used[np.flatnonzero(~used[:tail])[:fill]] = True
+    used[tail:] = True
+    return np.flatnonzero(used)
+
+
+def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
+                stride, padding) -> Tensor:
+    """conv_nd over the grid that holds feats row i at coords[i] and zero
+    elsewhere, computed from the occupied voxels only.
+
+    feats: (V, Cin); coords: (V, ndim) distinct voxel indices inside dims;
+    out: (Cout, *S'). The rulebook lists every (voxel, kernel offset,
+    output site) triple; only the reached sites get an im2col column, which
+    holds the dense column's values in the same order. The other sites hold
+    exactly b. So the output is byte-equal to the dense convolution when the
+    output size is a multiple of _GEMM_GROUP (every grid the configs build),
+    and otherwise when both products take the same BLAS path; else the last
+    partial group's columns may differ in the last bit.
+    """
+    v, cin = feats.shape
+    kernel, ndim = tuple(w.shape[2:]), len(dims)
+    if coords.shape != (v, ndim) or w.shape[1] != cin:
+        raise ShapeMismatch(f"feats {feats.shape}, coords {coords.shape}, weight {w.shape}: "
+                            f"need V rows of {ndim} coords and Cin = {w.shape[1]}")
+    if np.any(coords < 0) or np.any(coords >= np.asarray(dims)):
+        raise ShapeMismatch(f"voxel coords outside the grid {tuple(dims)}")
+    flat = np.sort(np.ravel_multi_index(coords.T, dims))
+    if np.any(flat[1:] == flat[:-1]):
+        raise ShapeMismatch("repeated voxel coords")
+    if any(s + 2 * p < k for s, p, k in zip(dims, padding, kernel)):
+        raise ShapeMismatch(f"kernel {kernel} larger than padded input {tuple(dims)}")
+    out = tuple((s + 2 * p - k) // st + 1 for s, p, k, st in zip(dims, padding, kernel, stride))
+    # per axis, tap t of coordinate x reaches output j where j * stride == x + pad - t;
+    # the product of the axes' tap tables is the (V, *K) rulebook
+    reach = np.ones((v,) + (1,) * ndim, dtype=bool)
+    site = np.zeros((v,) + (1,) * ndim, dtype=np.int64)
+    for ax in range(ndim):
+        q = coords[:, ax:ax + 1] + padding[ax] - np.arange(kernel[ax])
+        j = q // stride[ax]
+        shape = [v] + [1] * ndim
+        shape[ax + 1] = kernel[ax]
+        ok = (q % stride[ax] == 0) & (j >= 0) & (j < out[ax])
+        reach = reach & ok.reshape(shape)
+        site = site * out[ax] + j.reshape(shape)
+    taps, size = int(np.prod(kernel)), int(np.prod(out))
+    pair = np.flatnonzero(reach)
+    voxel, offset = np.divmod(pair, taps)
+    pair_site = site.ravel()[pair]
+    sites = _gemm_sites(pair_site, size)
+    col = np.searchsorted(sites, pair_site)
+    n, chan, cout = len(sites), np.arange(cin), w.shape[0]
+    # feats[voxel, c] goes to im2col row c * K + offset, column col
+    vals = ad.take(feats, (voxel[:, None] * cin + chan).ravel())
+    cols = ad.scatter(vals, ((chan * taps + offset[:, None]) * n + col[:, None]).ravel(),
+                      cin * taps * n).reshape(cin * taps, n)
+    y = ad.scatter((w.reshape(cout, -1) @ cols).reshape(-1),
+                   (np.arange(cout)[:, None] * size + sites).ravel(), cout * size)
+    return (y.reshape(cout, size) + b.reshape(cout, 1)).reshape((cout,) + out)
 
 
 def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
@@ -377,11 +455,12 @@ class VoxelRPN:
 
     def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
                       dims: tuple, train: bool) -> Tensor:
-        """Per-point MLP + masked max-pool over the occupied voxels, scattered
-        into the grid: (V, cap, 4) slots -> (C, nx, ny, nz), empty voxels zero.
+        """Per-point MLP + masked max-pool over the occupied voxels:
+        (V, cap, 4) slots -> (V, C), one feature row per voxel.
 
         counts (V,) are the stored points per voxel (each >= 1) and coords
-        (V, 3) the distinct voxel indices.
+        (V, 3) the distinct voxel indices; the grid dims are checked by the
+        first conv, which reads these rows at their coords.
         """
         v, cap, _ = slots.shape
         if counts.shape != (v,) or coords.shape != (v, 3) or np.any(counts < 1):
@@ -392,9 +471,7 @@ class VoxelRPN:
         h = ad.relu(linear(x, self._p("rpn/encoder/w"), self._p("rpn/encoder/b")))
         slot = (np.arange(cap)[None, :] < counts.reshape(v, 1)).reshape(v * cap, 1)
         h = h + Tensor((~slot) * _NEG_BIG)
-        pooled = h.reshape(v, cap, c).max(axis=1)
-        cells = ad.scatter(pooled, np.ravel_multi_index(coords.T, dims), int(np.prod(dims)))
-        return cells.reshape(tuple(dims) + (c,)).transpose((3, 0, 1, 2))
+        return h.reshape(v, cap, c).max(axis=1)
 
     def forward(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
                 dims: tuple, train: bool = False):
@@ -403,8 +480,10 @@ class VoxelRPN:
         cfg = self.cfg
         x = self.encode_voxels(slots, counts, coords, dims, train)
         for i, ly in enumerate(cfg.conv3d):
-            x = conv_nd(x, self._p(f"rpn/conv3d{i}/w"), self._p(f"rpn/conv3d{i}/b"),
-                        ly.stride, ly.padding)
+            w, b = self._p(f"rpn/conv3d{i}/w"), self._p(f"rpn/conv3d{i}/b")
+            # the first conv reads the voxel rows; its output map is dense
+            x = (conv_voxels(x, coords, dims, w, b, ly.stride, ly.padding) if i == 0
+                 else conv_nd(x, w, b, ly.stride, ly.padding))
             x = ad.relu(batchnorm(x, self._p(f"rpn/conv3d{i}/bn/scale"),
                                   self._p(f"rpn/conv3d{i}/bn/shift"),
                                   self.params.stats, f"rpn/conv3d{i}/bn", train))

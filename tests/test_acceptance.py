@@ -17,7 +17,7 @@ from fastpoint.autodiff import Tensor
 from fastpoint.config import save_config, toy_config
 from fastpoint.evalkit import EvalConfig, EvalGt, average_precision, evaluate
 from fastpoint.geometry import Box3D
-from fastpoint.nn import (batchnorm, conv_nd, deconv_nd, linear,
+from fastpoint.nn import (batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
                           reference_netconfig, setnorm)
 from fastpoint.postprocess import Detection, nms_rotated
 from fastpoint.selfcheck import (brute_force_nms, finite_diff_check, mc_iou_bev,
@@ -115,6 +115,19 @@ def test_gradients_conv3d():
         w = Tensor(rng.normal(size=(2, 2, 2, 2, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
         _fd_case(lambda: (conv_nd(x, w, b, (1, 1, 1), (0, 0, 0)) ** 2).sum(),
+                 [x, w, b], seed)
+
+
+def test_gradients_conv_voxels():
+    dims = (4, 4, 3)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(int(np.prod(dims)), 6, replace=False)
+        coords = np.stack(np.unravel_index(flat, dims), axis=1)
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        _fd_case(lambda: (conv_voxels(x, coords, dims, w, b, (2, 1, 2), (1, 1, 0)) ** 2).sum(),
                  [x, w, b], seed)
 
 

@@ -126,6 +126,29 @@ def test_take_scatter_adds_repeated_indices():
     assert np.array_equal(x.grad, np.array([2.0, 0.0, 1.0]))
 
 
+def test_take_backward_byte_equal_to_add_at_on_repeated_indices():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    idx = rng.integers(0, 15, size=(40, 30))        # many repeats; cells 15..19 never read
+    g = rng.normal(size=idx.shape) * 10.0 ** rng.integers(-8, 8, size=idx.shape)
+    (ad.take(x, idx) * Tensor(g)).sum().backward()
+    want = np.zeros(20)
+    np.add.at(want, idx.ravel(), g.ravel())
+    assert x.grad.tobytes() == want.reshape(4, 5).tobytes()
+
+
+def test_max_gradient_goes_to_first_argmax_along_any_axis():
+    data = np.zeros((2, 3, 4))
+    data[1, :, 2] = 1.0
+    x = Tensor(data, requires_grad=True)
+    x.max(axis=0).sum().backward()
+    want = np.zeros((2, 3, 4))
+    want[0] = 1.0
+    want[0, :, 2] = 0.0
+    want[1, :, 2] = 1.0
+    assert np.array_equal(x.grad, want)
+
+
 def test_scatter_places_rows_and_backward_gathers():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     out = ad.scatter(x, np.array([2, 0]), 3)

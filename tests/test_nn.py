@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastpoint import autodiff as ad
 from fastpoint import nn
@@ -7,8 +9,8 @@ from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.errors import ConfigError, EmptyProposal, ShapeMismatch
 from fastpoint.nn import (MissingCheckpoint, Parameters, RefinerConfig, RefinerNet, VoxelRPN,
-                          batchnorm, conv_nd, deconv_nd, linear, reference_netconfig,
-                          setnorm)
+                          batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
+                          reference_netconfig, setnorm)
 from fastpoint.selfcheck import finite_diff_check
 from fastpoint.train import merge_parameters
 
@@ -59,6 +61,135 @@ def test_conv_matches_direct_convolution():
             for j in range(6):
                 want = np.sum(w[o] * xp[:, i:i + 3, j:j + 3])
                 assert out[o, i, j] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+# ------------------------------------------------------------- conv_voxels
+def scatter_grid(feats, coords, dims):
+    """The grid conv_voxels convolves: feats row i at coords[i], zero
+    elsewhere, channels first (C, *dims)."""
+    ndim = len(dims)
+    cells = ad.scatter(feats, np.ravel_multi_index(coords.T, dims), int(np.prod(dims)))
+    return cells.reshape(tuple(dims) + (feats.shape[1],)).transpose(
+        (ndim,) + tuple(range(ndim)))
+
+
+def dense_conv_voxels(feats, coords, dims, w, b, stride, padding):
+    """The oracle for conv_voxels: scatter into the dense grid, then conv_nd."""
+    return conv_nd(scatter_grid(feats, coords, dims), w, b, stride, padding)
+
+
+def grid_coords(dims, cells):
+    """(V, ndim) int64 coords of the distinct flat cells, in sorted order."""
+    flat = np.unique(np.asarray(cells, dtype=np.int64))
+    return np.stack(np.unravel_index(flat, dims), axis=1).reshape(len(flat), len(dims))
+
+
+def corners_and_faces(dims):
+    """Flat cells of every corner and of one cell at the middle of every face."""
+    corners = [np.ravel_multi_index(tuple(i * (d - 1) for i, d in zip(c, dims)), dims)
+               for c in np.ndindex(*(2,) * len(dims))]
+    faces = []
+    for ax, d in enumerate(dims):
+        for edge in (0, d - 1):
+            mid = [n // 2 for n in dims]
+            mid[ax] = edge
+            faces.append(np.ravel_multi_index(mid, dims))
+    return corners + faces
+
+
+def assert_matches_dense_oracle(feats, coords, dims, w, b, stride, padding, seed=0):
+    """Forward byte-equal to the oracle, gradients equal to rtol 1e-12."""
+    got = conv_voxels(feats, coords, dims, w, b, stride, padding)
+    want = dense_conv_voxels(feats, coords, dims, w, b, stride, padding)
+    assert got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    r = Tensor(np.random.default_rng(seed).normal(size=got.shape))
+    grads = []
+    for out in (got, want):
+        for t in (feats, w, b):
+            t.zero_grad()
+        (out * r).sum().backward()
+        grads.append([t.grad for t in (feats, w, b)])
+    for g, ref in zip(*grads):
+        assert np.allclose(g, ref, rtol=1e-12, atol=0.0)
+
+
+def conv_case(rng, dims, cells, kernel, cin=2, cout=3, bias=True):
+    feats = Tensor(rng.normal(size=(len(np.unique(cells)), cin)), requires_grad=True)
+    w = Tensor(rng.normal(size=(cout, cin) + tuple(kernel)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout) if bias else np.zeros(cout), requires_grad=True)
+    return feats, grid_coords(dims, cells), w, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_conv_voxels_matches_dense_oracle(data):
+    # grids this small keep both products on one BLAS path at any output
+    # size; the toy-shape test below covers the large-product path
+    dims = tuple(data.draw(st.integers(1, 6), label=f"dim{i}") for i in range(3))
+    kernel = tuple(data.draw(st.integers(1, 3), label=f"k{i}") for i in range(3))
+    stride = tuple(data.draw(st.integers(1, 3), label=f"s{i}") for i in range(3))
+    padding = tuple(data.draw(st.integers(0, k - 1), label=f"p{i}") for i, k in enumerate(kernel))
+    kernel = tuple(min(k, d + 2 * p) for k, d, p in zip(kernel, dims, padding))
+    n = int(np.prod(dims))
+    cells = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="cells")
+    if data.draw(st.booleans(), label="corners and faces"):
+        cells = cells + corners_and_faces(dims)
+    bias = data.draw(st.booleans(), label="bias")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    feats, coords, w, b = conv_case(rng, dims, cells, kernel, bias=bias)
+    assert_matches_dense_oracle(feats, coords, dims, w, b, stride, padding)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("cells", [[], [0], [37], "corners_and_faces"])
+def test_conv_voxels_empty_single_and_boundary_voxels(cells, bias):
+    dims = (5, 4, 6)
+    if cells == "corners_and_faces":
+        cells = corners_and_faces(dims)
+    rng = np.random.default_rng(len(cells))
+    for kernel, stride, padding in (((3, 3, 3), (2, 2, 2), (1, 1, 1)),
+                                    ((2, 1, 2), (1, 1, 1), (1, 0, 0)),
+                                    ((1, 1, 1), (1, 2, 3), (0, 0, 0))):
+        feats, coords, w, b = conv_case(rng, dims, cells, kernel, bias=bias)
+        assert_matches_dense_oracle(feats, coords, dims, w, b, stride, padding)
+        if not len(cells):
+            out = conv_voxels(feats, coords, dims, w, b, stride, padding).data
+            assert np.array_equal(out, np.broadcast_to(b.data.reshape(-1, 1, 1, 1), out.shape))
+
+
+def test_conv_voxels_matches_dense_oracle_at_toy_layer_shape():
+    # conv3d0 of the toy config: 64 x 64 x 20 grid, 8 -> 16 channels
+    rng = np.random.default_rng(13)
+    dims = (64, 64, 20)
+    cells = list(rng.choice(int(np.prod(dims)), 500, replace=False)) + corners_and_faces(dims)
+    feats, coords, w, b = conv_case(rng, dims, cells, (3, 3, 3), cin=8, cout=16)
+    assert_matches_dense_oracle(feats, coords, dims, w, b, (2, 2, 2), (1, 1, 1))
+
+
+def test_conv_voxels_rejects_rows_that_do_not_match_coords():
+    rng = np.random.default_rng(14)
+    feats, coords, w, b = conv_case(rng, (4, 4, 4), [1, 5, 9], (3, 3, 3))
+    with pytest.raises(ShapeMismatch):
+        conv_voxels(Tensor(feats.data[:2]), coords, (4, 4, 4), w, b, (1, 1, 1), (1, 1, 1))
+
+
+def test_conv_voxels_rejects_coord_outside_grid():
+    rng = np.random.default_rng(15)
+    feats, coords, w, b = conv_case(rng, (4, 4, 4), [1, 5, 9], (3, 3, 3))
+    for bad in (4, -1):
+        out = coords.copy()
+        out[1, 2] = bad
+        with pytest.raises(ShapeMismatch, match="outside"):
+            conv_voxels(feats, out, (4, 4, 4), w, b, (1, 1, 1), (1, 1, 1))
+
+
+def test_conv_voxels_rejects_repeated_coord():
+    rng = np.random.default_rng(16)
+    feats, coords, w, b = conv_case(rng, (4, 4, 4), [1, 5, 9], (3, 3, 3))
+    coords[2] = coords[0]
+    with pytest.raises(ShapeMismatch, match="repeated"):
+        conv_voxels(feats, coords, (4, 4, 4), w, b, (1, 1, 1), (1, 1, 1))
 
 
 def test_deconv_output_size_and_inverse_of_stride():
@@ -225,21 +356,35 @@ def test_voxel_encoder_ignores_empty_slots():
 
 
 def test_voxel_encoder_empty_voxels_are_zero():
+    # the grid the first conv reads holds each voxel's row at its coords and
+    # zero at every empty voxel: a 1x1x1 identity kernel reads it back
     rng = np.random.default_rng(9)
     slots, counts, coords, dims = make_voxels(rng, n=10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    feat = rpn.encode_voxels(slots, counts, coords, dims, train=False).data
+    feat = rpn.encode_voxels(slots, counts, coords, dims, train=False)
+    c = rpn.cfg.encoder_channels
+    assert feat.shape == (len(coords), c)
+    eye = Tensor(np.eye(c).reshape(c, c, 1, 1, 1))
+    grid = conv_voxels(feat, coords, dims, eye, Tensor(np.zeros(c)), (1, 1, 1), (0, 0, 0)).data
     empty = np.ones(dims, dtype=bool)
     empty[tuple(coords.T)] = False
-    assert np.allclose(feat[:, empty], 0.0)
+    assert not np.any(grid[:, empty])
+    assert np.array_equal(grid[(slice(None),) + tuple(coords.T)], feat.data.T)
 
 
 def test_voxel_encoder_without_occupied_voxels_is_zero():
     rpn = VoxelRPN(tiny_cfg(), seed=0)
+    coords, dims = np.zeros((0, 3), dtype=np.int64), (16, 16, 20)
     feat = rpn.encode_voxels(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64),
-                             np.zeros((0, 3), dtype=np.int64), (16, 16, 20), train=False)
-    assert feat.shape == (4, 16, 16, 20)
-    assert not np.any(feat.data)
+                             coords, dims, train=False)
+    assert feat.shape == (0, 4)
+    # with no voxel the first conv's map is its bias everywhere, as over a zero grid
+    w, b = rpn._p("rpn/conv3d0/w"), Tensor(np.arange(1.0, rpn.cfg.conv3d[0].channels + 1))
+    ly = rpn.cfg.conv3d[0]
+    got = conv_voxels(feat, coords, dims, w, b, ly.stride, ly.padding)
+    want = conv_nd(Tensor(np.zeros((4,) + dims)), w, b, ly.stride, ly.padding)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.data, np.broadcast_to(b.data.reshape(-1, 1, 1, 1), got.shape))
 
 
 def test_voxel_encoder_rejects_voxel_without_points():
@@ -257,29 +402,31 @@ def test_sparse_encoder_matches_dense_reference():
         rpn = VoxelRPN(tiny_cfg(), seed=seed)
         got = rpn.encode_voxels(*vox, train=False)
         want = reference_dense_encode(rpn, *vox)
+        coords, dims = vox[2], vox[3]
+        assert got.shape == (len(coords), rpn.cfg.encoder_channels)
         # -0.0 from zeroing empty voxels compares equal to the sparse path's 0.0
-        assert got.shape == want.shape
-        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(scatter_grid(got, coords, dims).data, want.data)
 
 
-def test_rpn_outputs_byte_equal_to_dense_encoder_path():
+def test_rpn_outputs_byte_equal_to_dense_encoder_path(monkeypatch):
     rng = np.random.default_rng(12)
     vox = make_voxels(rng, dims=(32, 32, 20), n=400)
     sparse = VoxelRPN(tiny_cfg(), seed=3)
     dense = VoxelRPN(tiny_cfg(), seed=3)
-    dense.encode_voxels = lambda *args: reference_dense_encode(dense, *args[:4])
     for train in (False, True):
         got = sparse.forward(*vox, train=train)
-        want = dense.forward(*vox, train=train)
+        with monkeypatch.context() as m:
+            m.setattr(nn, "conv_voxels", dense_conv_voxels)
+            want = dense.forward(*vox, train=train)
         for g, w in zip(got, want):
             assert g.data.tobytes() == w.data.tobytes()
     for rpn, (cls_map, reg_map, _) in ((sparse, got), (dense, want)):
         (cls_map.sum() + (reg_map * reg_map).sum()).backward()
     for name in sparse.params.names():
         g, w = sparse.params.tensors[name].grad, dense.params.tensors[name].grad
-        if name == "rpn/encoder/w":
-            # the dense path sums over every empty slot too: another order
-            assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+        if name in ("rpn/encoder/w", "rpn/encoder/b", "rpn/conv3d0/w"):
+            # these sum over the reached im2col columns only: another order
+            assert np.allclose(g, w, rtol=1e-12, atol=0.0), name
         else:
             assert g.tobytes() == w.tobytes(), name
 
