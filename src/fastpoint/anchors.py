@@ -48,8 +48,6 @@ class AnchorSet:
     boxes: np.ndarray      # (N, 7) rows (x, y, z, l, w, h, theta)
     bev: np.ndarray        # (N, 5) geometry.bev_rows of the boxes
     diag: np.ndarray       # (N,) BEV diagonal per anchor
-    map_dims: tuple        # (H_f, W_f) = (y cells, x cells)
-    spec: AnchorSpec
 
     def __len__(self):
         return len(self.boxes)
@@ -105,7 +103,7 @@ def build_anchor_grid(map_dims: tuple, spec: AnchorSpec, world: VoxelSpec) -> An
     bev = boxes[:, [0, 1, 3, 4, 6]]
     bev_angles = np.array([normalize_angle(t) for t in spec.angles])
     bev[:, 4] = np.broadcast_to(bev_angles[None, None, :], (h_f * w_f, s, a)).ravel()
-    return AnchorSet(boxes, bev, diag, (h_f, w_f), spec)
+    return AnchorSet(boxes, bev, diag)
 
 
 def assign_targets(anchors: AnchorSet, gts: list, pos_iou: float, neg_iou: float) -> TargetAssignment:
@@ -171,25 +169,10 @@ def encode_rpn(gt: Box3D, anchor: Box3D, d_a: float) -> np.ndarray:
     ])
 
 
-def decode_rpn(delta: np.ndarray, anchor: Box3D, d_a: float) -> Box3D:
-    if d_a <= 0:
-        raise ValueError("anchor diagonal must be positive")
-    dx, dy, dz, dh, dw, dl, dt = (float(v) for v in delta)
-    dh, dw, dl = (min(v, MAX_LOG_SIZE_DELTA) for v in (dh, dw, dl))
-    return Box3D(
-        anchor.x + dx * d_a,
-        anchor.y + dy * d_a,
-        anchor.z + dz * anchor.h,
-        anchor.l * math.exp(dl),
-        anchor.w * math.exp(dw),
-        anchor.h * math.exp(dh),
-        normalize_angle(anchor.theta + dt),
-    )
-
-
-def decode_rpn_batch(deltas: np.ndarray, boxes: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Vectorized decode for (N, 7) deltas against (N, 7) anchor rows;
-    log-size deltas are clamped at MAX_LOG_SIZE_DELTA, as in decode_rpn."""
+def decode_rpn(deltas: np.ndarray, boxes: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """(N, 7) box rows from (N, 7) encode_rpn deltas against (N, 7) anchor
+    rows with (N,) BEV diagonals; log-size deltas are clamped at
+    MAX_LOG_SIZE_DELTA and theta is normalized as a Box3D holds it."""
     out = np.empty_like(boxes)
     out[:, 0] = boxes[:, 0] + deltas[:, 0] * diag
     out[:, 1] = boxes[:, 1] + deltas[:, 1] * diag

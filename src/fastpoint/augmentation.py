@@ -32,24 +32,6 @@ class GtDatabase:
     def __len__(self):
         return len(self.entries)
 
-    def save(self, path):
-        payload = {"__n__": np.array(len(self.entries))}
-        for i, e in enumerate(self.entries):
-            payload[f"box{i}"] = e.box.as_array()
-            payload[f"pts{i}"] = e.points
-            payload[f"meta{i}"] = np.array([e.cls, e.frame_id])
-        np.savez(path, **payload)
-
-    @classmethod
-    def load(cls, path):
-        entries = []
-        with np.load(path) as z:
-            for i in range(int(z["__n__"])):
-                cls_name, frame_id = z[f"meta{i}"]
-                entries.append(GtEntry(str(cls_name), Box3D.from_array(z[f"box{i}"]),
-                                       z[f"pts{i}"].copy(), str(frame_id)))
-        return cls(entries)
-
 
 def _rotate_xy(pts: np.ndarray, phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)

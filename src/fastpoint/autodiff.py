@@ -248,15 +248,6 @@ def log(x: Tensor) -> Tensor:
     return out
 
 
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = _make((x,), np.exp(x.data))
-    if out._parents:
-        y = out.data
-        out._backward = lambda g: (g * y,)
-    return out
-
-
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
@@ -282,10 +273,6 @@ def absolute(x: Tensor) -> Tensor:
         s = np.sign(x.data)
         out._backward = lambda g: (g * s,)
     return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return as_tensor(x) ** 0.5
 
 
 def concat(tensors, axis=0) -> Tensor:

@@ -247,8 +247,8 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 
 
 # ------------------------------------------------------------- canonization
-def canonize_points(frame, points: np.ndarray) -> np.ndarray:
-    """Express points (N, 3) or (N, 2) in the frame box's coordinates.
+def canonize_points(frame: Box3D, points: np.ndarray) -> np.ndarray:
+    """Express points (N, 3) in the frame box's coordinates.
 
     Translate by -(frame center) then rotate by -theta about the vertical.
     """
@@ -256,27 +256,19 @@ def canonize_points(frame, points: np.ndarray) -> np.ndarray:
     c, s = math.cos(-frame.theta), math.sin(-frame.theta)
     rot = np.array([[c, -s], [s, c]])
     out = points.copy()
-    if points.shape[1] == 2:
-        out = (points - np.array([frame.x, frame.y])) @ rot.T
-    else:
-        z0 = frame.z if isinstance(frame, Box3D) else 0.0
-        out[:, :2] = (points[:, :2] - np.array([frame.x, frame.y])) @ rot.T
-        out[:, 2] = points[:, 2] - z0
+    out[:, :2] = (points[:, :2] - np.array([frame.x, frame.y])) @ rot.T
+    out[:, 2] = points[:, 2] - frame.z
     return out
 
 
-def uncanonize_points(frame, points: np.ndarray) -> np.ndarray:
+def uncanonize_points(frame: Box3D, points: np.ndarray) -> np.ndarray:
     """Inverse of canonize_points."""
     points = np.asarray(points, dtype=np.float64)
     c, s = math.cos(frame.theta), math.sin(frame.theta)
     rot = np.array([[c, -s], [s, c]])
     out = points.copy()
-    if points.shape[1] == 2:
-        out = points @ rot.T + np.array([frame.x, frame.y])
-    else:
-        z0 = frame.z if isinstance(frame, Box3D) else 0.0
-        out[:, :2] = points[:, :2] @ rot.T + np.array([frame.x, frame.y])
-        out[:, 2] = points[:, 2] + z0
+    out[:, :2] = points[:, :2] @ rot.T + np.array([frame.x, frame.y])
+    out[:, 2] = points[:, 2] + frame.z
     return out
 
 

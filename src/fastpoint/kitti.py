@@ -1,4 +1,4 @@
-"""KITTI-format ingestion: velodyne scans, labels, calibration, splits.
+"""KITTI-format ingestion: velodyne scans, labels and calibration.
 
 Labels arrive in the camera frame (location = bottom-center of the box,
 rotation_y about the camera -y-ish axis); everything downstream works in
@@ -8,14 +8,13 @@ the LiDAR frame, so parsing converts immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Box3D, normalize_angle
 
-CLASSES = ("Car", "Pedestrian", "Cyclist", "DontCare", "Other")
 KNOWN_CLASSES = ("Car", "Pedestrian", "Cyclist", "DontCare")
 
 DIFFICULTY_EASY = "easy"
@@ -24,7 +23,7 @@ DIFFICULTY_HARD = "hard"
 DIFFICULTY_IGNORED = "ignored"
 
 # (min bbox height px, max occlusion, max truncation) per level; standard
-# devkit convention, overridable via parse_label_line(thresholds=...)
+# devkit convention
 DIFFICULTY_THRESHOLDS = (
     (DIFFICULTY_EASY, 40.0, 0, 0.15),
     (DIFFICULTY_MODERATE, 25.0, 1, 0.30),
@@ -55,10 +54,6 @@ class PointCloud:
 
     def __len__(self):
         return self.points.shape[0]
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
 
 
 @dataclass
@@ -114,10 +109,9 @@ class FrameLabel:
     score: float | None = None
 
 
-def assign_difficulty(truncation: float, occlusion: int, bbox2d,
-                      thresholds=DIFFICULTY_THRESHOLDS) -> str:
+def assign_difficulty(truncation: float, occlusion: int, bbox2d) -> str:
     height = float(bbox2d[3] - bbox2d[1])
-    for name, min_h, max_occ, max_trunc in thresholds:
+    for name, min_h, max_occ, max_trunc in DIFFICULTY_THRESHOLDS:
         if height >= min_h and occlusion <= max_occ and truncation <= max_trunc:
             return name
     return DIFFICULTY_IGNORED
@@ -160,8 +154,7 @@ def _lidar_yaw_to_cam(theta: float) -> float:
     return normalize_angle(-theta - math.pi / 2)
 
 
-def parse_label_line(line: str, calib: Calibration,
-                     thresholds=DIFFICULTY_THRESHOLDS) -> FrameLabel:
+def parse_label_line(line: str, calib: Calibration) -> FrameLabel:
     fields = line.split()
     if len(fields) not in (15, 16):
         raise MalformedLabel(f"expected 15 (or 16 with score) fields, got {len(fields)}")
@@ -186,7 +179,7 @@ def parse_label_line(line: str, calib: Calibration,
 
     bottom = calib.cam_to_lidar(loc_cam[None])[0]
     box = Box3D(bottom[0], bottom[1], bottom[2] + h / 2, l, w, h, _cam_yaw_to_lidar(ry))
-    diff = assign_difficulty(truncation, occ, bbox2d, thresholds)
+    diff = assign_difficulty(truncation, occ, bbox2d)
     return FrameLabel(cls, box, truncation, occ, bbox2d, alpha, difficulty=diff, score=score)
 
 

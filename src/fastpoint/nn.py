@@ -454,7 +454,7 @@ class VoxelRPN:
         return self.params.tensors[name]
 
     def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
-                      dims: tuple, train: bool) -> Tensor:
+                      train: bool) -> Tensor:
         """Per-point MLP + masked max-pool over the occupied voxels:
         (V, cap, 4) slots -> (V, C), one feature row per voxel.
 
@@ -478,7 +478,7 @@ class VoxelRPN:
         """Voxel grid (as for encode_voxels) -> (cls_map (H_f, W_f, A),
         reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
         cfg = self.cfg
-        x = self.encode_voxels(slots, counts, coords, dims, train)
+        x = self.encode_voxels(slots, counts, coords, train)
         for i, ly in enumerate(cfg.conv3d):
             w, b = self._p(f"rpn/conv3d{i}/w"), self._p(f"rpn/conv3d{i}/b")
             # the first conv reads the voxel rows; its output map is dense

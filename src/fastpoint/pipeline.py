@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, refiner_features
-from .anchors import AnchorSet, build_anchor_grid
+from .anchors import AnchorSet, build_anchor_grid, decode_corners
 from .config import PipelineConfig, PostParams
 from .errors import EmptyProposal
 from .kitti import PointCloud
@@ -70,12 +70,12 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
     for det in proposals:
         try:
             bf = refiner_features.build_box_feature(
-                pc, fused.data, det.box, det.score, spec, cfg.post.crop_margin)
+                pc, fused.data, det.box, spec, cfg.post.crop_margin)
         except EmptyProposal:
             refined.append(det)      # pointless to refine without points
             continue
         pred = refiner.forward(bf.coords, bf.feats, train=False)
-        corners = geometry.uncanonize_points(det.box, pred.data.reshape(8, 3))
+        corners = decode_corners(pred.data, det.box)
         try:
             refined.append(Detection(corners_to_box(corners), det.score, det.cls))
         except DegenerateCorners:

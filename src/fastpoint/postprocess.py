@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .anchors import AnchorSet, decode_rpn_batch
+from .anchors import AnchorSet, decode_rpn
 from .errors import ShapeMismatch
-from .geometry import Box3D, BoxBEV, normalize_angle
+from .geometry import Box3D, normalize_angle
 
 # canonical corner adjacency: edges along the length axis, bottom/top faces
 _LENGTH_EDGES = ((0, 1), (3, 2), (4, 5), (7, 6))
@@ -38,6 +38,8 @@ def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError("iou_thresh must be in [0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(boxes),):
+        raise ShapeMismatch(f"{len(boxes)} boxes but scores of shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     rows = geometry.bev_rows(boxes)
@@ -72,7 +74,7 @@ def decode_detections(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorS
     keep = np.where(probs >= score_thresh)[0]
     if len(keep) == 0:
         return []
-    decoded = decode_rpn_batch(deltas[keep], anchors.boxes[keep], anchors.diag[keep])
+    decoded = decode_rpn(deltas[keep], anchors.boxes[keep], anchors.diag[keep])
     order = np.argsort(-probs[keep], kind="stable")
     return [Detection(Box3D.from_array(decoded[i]), float(probs[keep[i]])) for i in order]
 
@@ -82,9 +84,12 @@ def corners_to_box(corners: np.ndarray) -> Box3D:
 
     Center is the corner mean; yaw comes from the mean bottom/top
     length-edge direction; dims from mean edge lengths. Exact for a
-    perfect cuboid.
+    perfect cuboid. Raises DegenerateCorners for non-finite corners and
+    for corners that collapse an edge.
     """
     c = np.asarray(corners, dtype=np.float64).reshape(8, 3)
+    if not np.all(np.isfinite(c)):
+        raise DegenerateCorners("non-finite corner coordinates")
     center = c.mean(axis=0)
     lvecs = np.array([c[a, :2] - c[b, :2] for a, b in _LENGTH_EDGES])
     wvecs = np.array([c[a, :2] - c[b, :2] for a, b in _WIDTH_EDGES])

@@ -14,21 +14,16 @@ from .geometry import Box3D
 from .kitti import PointCloud
 from .voxels import VoxelSpec
 
-DEFAULT_MARGIN = 0.3  # meters of context kept around the proposal
-
 
 @dataclass
 class BoxFeature:
     coords: np.ndarray     # (N, 3) canonized point coordinates, proposal frame
     feats: np.ndarray      # (N, C_F) indexed backbone features
-    proposal: Box3D
-    score: float
 
 
-def crop_points(pc: PointCloud, proposal: Box3D, margin: float = DEFAULT_MARGIN) -> np.ndarray:
-    """Points within the proposal expanded by margin; preserves input order."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+def crop_points(pc: PointCloud, proposal: Box3D, margin: float) -> np.ndarray:
+    """Points within the proposal expanded by margin (meters of context,
+    non-negative); preserves input order."""
     return pc.points[geometry.points_in_box(pc.points, proposal, margin)]
 
 
@@ -48,8 +43,7 @@ def lookup_features(points_xy: np.ndarray, feature_map: np.ndarray,
 
 
 def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
-                      score: float, spec: VoxelSpec,
-                      margin: float = DEFAULT_MARGIN) -> BoxFeature:
+                      spec: VoxelSpec, margin: float) -> BoxFeature:
     """Crop, canonize, and attach backbone features; raises EmptyProposal
     when no point survives the crop.
 
@@ -61,4 +55,4 @@ def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
     coords = geometry.canonize_points(proposal, pts[:, :3])
     (x0, x1), (y0, y1), _ = spec.axis_range
     feats = lookup_features(pts[:, :2], feature_map, (x1 - x0, y1 - y0), (x0, y0))
-    return BoxFeature(coords, feats, proposal, score)
+    return BoxFeature(coords, feats)

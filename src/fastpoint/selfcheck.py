@@ -152,8 +152,9 @@ def run_selftest(quick: bool = True, report=print) -> bool:
             gt = random_box3d(rng)
             anchor = random_box3d(rng)
             d_a = math.hypot(anchor.l, anchor.w)
-            dec = anchor_mod.decode_rpn(anchor_mod.encode_rpn(gt, anchor, d_a), anchor, d_a)
-            assert abs(dec.x - gt.x) < 1e-9 and abs(dec.l - gt.l) < 1e-9
+            delta = anchor_mod.encode_rpn(gt, anchor, d_a)
+            dec = anchor_mod.decode_rpn(delta[None], anchor.as_array()[None], np.array([d_a]))[0]
+            assert abs(dec[0] - gt.x) < 1e-9 and abs(dec[3] - gt.l) < 1e-9
             corners = anchor_mod.decode_corners(anchor_mod.encode_corners(gt, anchor), anchor)
             assert np.allclose(corners, geometry.corners_3d(gt), atol=1e-9)
 

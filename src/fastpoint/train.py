@@ -201,16 +201,15 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
             frame.slots, frame.counts, frame.coords, spec.dims, train=False))
         proposals = select_proposals(cls_map, reg_map, anchor_set, cfg.post)
         pairs = _refiner_training_pairs(proposals, frame, cfg)
-        boxes = [(det.box, det.score, gt) for det, gt in pairs]
+        boxes = [(det.box, gt) for det, gt in pairs]
         for gt in frame.gts:
             for _ in range(cfg.train.refiner_jitter):
-                boxes.append((_jitter_proposal(gt, rng, cfg.post.refiner_pos_iou),
-                              1.0, gt))
+                boxes.append((_jitter_proposal(gt, rng, cfg.post.refiner_pos_iou), gt))
         samples = []
-        for box, score, gt in boxes:
+        for box, gt in boxes:
             try:
                 bf = refiner_features.build_box_feature(
-                    frame.pc, fused, box, score, spec, cfg.post.crop_margin)
+                    frame.pc, fused, box, spec, cfg.post.crop_margin)
             except EmptyProposal:
                 continue
             samples.append((bf, encode_corners(gt, box)))

@@ -136,7 +136,8 @@ def dump_grid(path, grid: VoxelGrid) -> None:
 
 def load_grid(path) -> VoxelGrid:
     """Read a dump_grid file; raises ValueError on a file that is not a
-    whole, consistent dump."""
+    whole, consistent dump. The dump keeps no pre-cap count, so a loaded
+    grid's counts equal its stored."""
     raw = Path(path).read_bytes()
     if raw[:4] != _DUMP_MAGIC:
         raise ValueError("not a voxel grid dump")

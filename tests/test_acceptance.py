@@ -40,13 +40,15 @@ def test_iou_bev_matches_monte_carlo_oracle():
 # --------------------------------------------------------- 2. codec identity
 def test_rpn_codec_roundtrip_thousand_pairs():
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        gt, anchor = random_box3d(rng), random_box3d(rng)
-        d_a = math.hypot(anchor.l, anchor.w)
-        dec = decode_rpn(encode_rpn(gt, anchor, d_a), anchor, d_a)
-        assert np.allclose(dec.as_array()[:6], gt.as_array()[:6], atol=1e-9)
-        dtheta = abs(geometry.normalize_angle(dec.theta - gt.theta))
-        assert min(dtheta, abs(dtheta - math.pi)) < 1e-9
+    pairs = [(random_box3d(rng), random_box3d(rng)) for _ in range(1000)]
+    gts = np.array([gt.as_array() for gt, _ in pairs])
+    boxes = np.array([anchor.as_array() for _, anchor in pairs])
+    diag = np.hypot(boxes[:, 3], boxes[:, 4])
+    deltas = np.array([encode_rpn(gt, anchor, d_a) for (gt, anchor), d_a in zip(pairs, diag)])
+    dec = decode_rpn(deltas, boxes, diag)
+    assert np.allclose(dec[:, :6], gts[:, :6], atol=1e-9)
+    dtheta = np.abs([geometry.normalize_angle(t) for t in dec[:, 6] - gts[:, 6]])
+    assert np.all(np.minimum(dtheta, np.abs(dtheta - math.pi)) < 1e-9)
 
 
 def test_corner_codec_roundtrip_thousand_pairs():

@@ -18,6 +18,15 @@ def grid():
     return A.build_anchor_grid((4, 4), SPEC, WORLD)
 
 
+def decode_rpn_scalar(delta: np.ndarray, anchor: Box3D, d_a: float) -> Box3D:
+    """Reference decode of one delta, written out field by field."""
+    dx, dy, dz, dh, dw, dl, dt = (float(v) for v in delta)
+    dh, dw, dl = (min(v, A.MAX_LOG_SIZE_DELTA) for v in (dh, dw, dl))
+    return Box3D(anchor.x + dx * d_a, anchor.y + dy * d_a, anchor.z + dz * anchor.h,
+                 anchor.l * math.exp(dl), anchor.w * math.exp(dw), anchor.h * math.exp(dh),
+                 geometry.normalize_angle(anchor.theta + dt))
+
+
 def test_anchor_count_and_layout():
     anchors = grid()
     assert len(anchors) == 4 * 4 * 1 * 4
@@ -89,11 +98,11 @@ def test_positive_reg_targets_roundtrip_to_gt():
     anchors = grid()
     gt = Box3D(1.3, -2.8, -0.9, 3.8, 1.8, 1.5, 0.1)
     asn = A.assign_targets(anchors, [gt], pos_iou=0.6, neg_iou=0.45)
-    for i in asn.positive_indices:
-        dec = A.decode_rpn(asn.reg_targets[i], Box3D.from_array(anchors.boxes[i]),
-                           float(anchors.diag[i]))
-        assert np.allclose(dec.as_array()[:6], gt.as_array()[:6], atol=1e-9)
-        assert abs(geometry.normalize_angle(dec.theta - gt.theta)) % math.pi \
+    pos = asn.positive_indices
+    assert len(pos) > 0
+    for dec in A.decode_rpn(asn.reg_targets[pos], anchors.boxes[pos], anchors.diag[pos]):
+        assert np.allclose(dec[:6], gt.as_array()[:6], atol=1e-9)
+        assert abs(geometry.normalize_angle(dec[6] - gt.theta)) % math.pi \
             == pytest.approx(0.0, abs=1e-9)
 
 
@@ -115,14 +124,17 @@ def test_encode_unit_square_diagonal():
 
 def test_encode_decode_roundtrip_random():
     rng = np.random.default_rng(1)
-    for _ in range(300):
-        gt, anchor = random_box3d(rng), random_box3d(rng)
-        d_a = math.hypot(anchor.l, anchor.w)
-        dec = A.decode_rpn(A.encode_rpn(gt, anchor, d_a), anchor, d_a)
-        assert np.allclose(dec.as_array()[:6], gt.as_array()[:6], atol=1e-9)
-        # heading recovered modulo pi (the BEV rectangle is identical)
-        dtheta = abs(geometry.normalize_angle(dec.theta - gt.theta))
-        assert min(dtheta, abs(dtheta - math.pi)) < 1e-9
+    pairs = [(random_box3d(rng), random_box3d(rng)) for _ in range(300)]
+    gts = np.array([gt.as_array() for gt, _ in pairs])
+    boxes = np.array([anchor.as_array() for _, anchor in pairs])
+    diag = np.hypot(boxes[:, 3], boxes[:, 4])
+    deltas = np.array([A.encode_rpn(gt, anchor, d_a)
+                       for (gt, anchor), d_a in zip(pairs, diag)])
+    dec = A.decode_rpn(deltas, boxes, diag)
+    assert np.allclose(dec[:, :6], gts[:, :6], atol=1e-9)
+    # heading recovered modulo pi (the BEV rectangle is identical)
+    dtheta = np.abs([geometry.normalize_angle(t) for t in dec[:, 6] - gts[:, 6]])
+    assert np.all(np.minimum(dtheta, np.abs(dtheta - math.pi)) < 1e-9)
 
 
 def test_angle_target_wrapped_to_half_pi_band():
@@ -137,10 +149,10 @@ def test_decode_rpn_batch_matches_scalar():
     rng = np.random.default_rng(2)
     anchors = grid()
     deltas = rng.normal(scale=0.2, size=(len(anchors), 7))
-    out = A.decode_rpn_batch(deltas, anchors.boxes, anchors.diag)
+    out = A.decode_rpn(deltas, anchors.boxes, anchors.diag)
     for i in range(0, len(anchors), 17):
-        dec = A.decode_rpn(deltas[i], Box3D.from_array(anchors.boxes[i]),
-                           float(anchors.diag[i]))
+        dec = decode_rpn_scalar(deltas[i], Box3D.from_array(anchors.boxes[i]),
+                                float(anchors.diag[i]))
         assert np.allclose(out[i], dec.as_array(), atol=1e-12)
 
 
@@ -148,12 +160,13 @@ def test_decode_clamps_large_log_size_deltas():
     anchors = grid()
     deltas = np.zeros((len(anchors), 7))
     deltas[:, 3:6] = [800.0, 4.0, -3.0]
-    out = A.decode_rpn_batch(deltas, anchors.boxes, anchors.diag)
+    out = A.decode_rpn(deltas, anchors.boxes, anchors.diag)
     assert np.all(np.isfinite(out))
     assert np.allclose(out[:, 5], anchors.boxes[:, 5] * 1000.0 / 16)   # h clamped
     assert np.allclose(out[:, 4], anchors.boxes[:, 4] * math.exp(4.0))  # w below the clamp
     assert np.allclose(out[:, 3], anchors.boxes[:, 3] * math.exp(-3.0))
-    dec = A.decode_rpn(deltas[0], Box3D.from_array(anchors.boxes[0]), float(anchors.diag[0]))
+    dec = decode_rpn_scalar(deltas[0], Box3D.from_array(anchors.boxes[0]),
+                            float(anchors.diag[0]))
     assert np.allclose(dec.as_array(), out[0], atol=1e-12)
 
 

@@ -157,14 +157,3 @@ def test_build_gt_database_filters():
     assert geometry.points_in_box(e.points, box, aug.CONTEXT_MARGIN).all()
 
 
-def test_database_save_load_roundtrip(tmp_path):
-    pc, box = scene_with_box()
-    db = GtDatabase([GtEntry("Car", box, pc.points[:7].copy(), "012")])
-    p = tmp_path / "db.npz"
-    db.save(p)
-    back = GtDatabase.load(p)
-    assert len(back) == 1
-    assert back.entries[0].cls == "Car"
-    assert back.entries[0].frame_id == "012"
-    assert np.allclose(back.entries[0].box.as_array(), box.as_array())
-    assert np.array_equal(back.entries[0].points, pc.points[:7])

@@ -82,6 +82,12 @@ def test_seed_override(tmp_path, capsys):
     assert a.split(":")[1] != b.split(":")[1]
 
 
+def test_selftest_passes(capsys):
+    code, out = run(["selftest"], capsys)
+    assert code == 0
+    assert out.count("PASS") == 6 and "FAIL" not in out
+
+
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

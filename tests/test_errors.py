@@ -35,7 +35,7 @@ def test_empty_proposal_is_one_class():
     spec = VoxelSpec(((0.0, 8.0), (-4.0, 4.0), (-3.0, 1.0)), (0.2, 0.2, 0.2), 6)
     with pytest.raises(EmptyProposal):
         build_box_feature(PointCloud(np.array([[5.0, 3.0, 0.0, 0.0]])), np.ones((2, 4, 4)),
-                          Box3D(0, 0, 0, 1, 1, 1, 0), 0.5, spec)
+                          Box3D(0, 0, 0, 1, 1, 1, 0), spec, 0.3)
 
 
 def test_config_error_is_one_class():

@@ -221,12 +221,6 @@ def test_canonize_points_roundtrip():
     assert np.allclose(back, pts, atol=1e-12)
 
 
-def test_canonize_points_2d():
-    frame = Box3D(1, 1, 0, 2, 1, 1, math.pi / 2)
-    out = geometry.canonize_points(frame, np.array([[1.0, 2.0]]))
-    assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
-
-
 def uncanonize_box(frame: Box3D, subject: Box3D) -> Box3D:
     """Reference inverse of canonize_box."""
     center = geometry.uncanonize_points(frame, subject.as_array()[None, :3])[0]

@@ -345,13 +345,13 @@ def test_voxelrpn_deterministic_per_seed():
 
 def test_voxel_encoder_ignores_empty_slots():
     rng = np.random.default_rng(8)
-    slots, counts, coords, dims = make_voxels(rng, n=30)
+    slots, counts, coords, _ = make_voxels(rng, n=30)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    ref = rpn.encode_voxels(slots, counts, coords, dims, train=False).data
+    ref = rpn.encode_voxels(slots, counts, coords, train=False).data
     # garbage in unused slots must not leak into features
     dirty = slots.copy()
     dirty[np.arange(slots.shape[1])[None, :] >= counts[:, None]] = 99.0
-    got = rpn.encode_voxels(dirty, counts, coords, dims, train=False).data
+    got = rpn.encode_voxels(dirty, counts, coords, train=False).data
     assert np.allclose(got, ref)
 
 
@@ -361,7 +361,7 @@ def test_voxel_encoder_empty_voxels_are_zero():
     rng = np.random.default_rng(9)
     slots, counts, coords, dims = make_voxels(rng, n=10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    feat = rpn.encode_voxels(slots, counts, coords, dims, train=False)
+    feat = rpn.encode_voxels(slots, counts, coords, train=False)
     c = rpn.cfg.encoder_channels
     assert feat.shape == (len(coords), c)
     eye = Tensor(np.eye(c).reshape(c, c, 1, 1, 1))
@@ -376,7 +376,7 @@ def test_voxel_encoder_without_occupied_voxels_is_zero():
     rpn = VoxelRPN(tiny_cfg(), seed=0)
     coords, dims = np.zeros((0, 3), dtype=np.int64), (16, 16, 20)
     feat = rpn.encode_voxels(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64),
-                             coords, dims, train=False)
+                             coords, train=False)
     assert feat.shape == (0, 4)
     # with no voxel the first conv's map is its bias everywhere, as over a zero grid
     w, b = rpn._p("rpn/conv3d0/w"), Tensor(np.arange(1.0, rpn.cfg.conv3d[0].channels + 1))
@@ -389,10 +389,10 @@ def test_voxel_encoder_without_occupied_voxels_is_zero():
 
 def test_voxel_encoder_rejects_voxel_without_points():
     rng = np.random.default_rng(11)
-    slots, counts, coords, dims = make_voxels(rng, n=10)
+    slots, counts, coords, _ = make_voxels(rng, n=10)
     counts[0] = 0
     with pytest.raises(ShapeMismatch):
-        VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords, dims, train=False)
+        VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords, train=False)
 
 
 def test_sparse_encoder_matches_dense_reference():
@@ -400,7 +400,7 @@ def test_sparse_encoder_matches_dense_reference():
         rng = np.random.default_rng(seed)
         vox = make_voxels(rng, dims=(16, 16, 20), n=200)
         rpn = VoxelRPN(tiny_cfg(), seed=seed)
-        got = rpn.encode_voxels(*vox, train=False)
+        got = rpn.encode_voxels(*vox[:3], train=False)
         want = reference_dense_encode(rpn, *vox)
         coords, dims = vox[2], vox[3]
         assert got.shape == (len(coords), rpn.cfg.encoder_channels)

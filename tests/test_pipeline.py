@@ -43,21 +43,34 @@ def test_infer_frame_without_refiner_returns_proposals():
     assert "refine" not in res.stage_times
 
 
-class CollapsedRefiner:
-    """Predicts all eight corners at the proposal center."""
+class ConstantRefiner:
+    """Predicts every corner coordinate as one value: 0 puts all eight
+    corners at the proposal center, nan gives no corners at all."""
 
-    calls = 0
+    def __init__(self, value: float):
+        self.value = value
+        self.calls = 0
 
     def forward(self, coords, feats, train=False):
         self.calls += 1
-        return Tensor(np.zeros(24))
+        return Tensor(np.full(24, self.value))
 
 
 def test_infer_frame_keeps_proposal_when_corners_degenerate():
     cfg = toy_config()
     frame_id, pc, _ = toy_frame(cfg)
     rpn = VoxelRPN(cfg.net_config(), seed=0)
-    refiner = CollapsedRefiner()
+    refiner = ConstantRefiner(0.0)
+    res = infer_frame(frame_id, pc, rpn, refiner, cfg)
+    assert refiner.calls > 0
+    assert res.detections == res.proposals
+
+
+def test_infer_frame_keeps_proposal_when_corners_are_not_finite():
+    cfg = toy_config()
+    frame_id, pc, _ = toy_frame(cfg)
+    rpn = VoxelRPN(cfg.net_config(), seed=0)
+    refiner = ConstantRefiner(np.nan)
     res = infer_frame(frame_id, pc, rpn, refiner, cfg)
     assert refiner.calls > 0
     assert res.detections == res.proposals

@@ -82,6 +82,18 @@ def test_nms_rejects_bad_inputs():
         nms_rotated([BoxBEV(0, 0, 1, 1, 0)], np.array([0.5]), 1.5)
 
 
+def test_nms_rejects_more_boxes_than_scores():
+    boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(3)]
+    with pytest.raises(ShapeMismatch):
+        nms_rotated(boxes, np.array([0.9, 0.8]), 0.5)
+
+
+def test_nms_rejects_more_scores_than_boxes():
+    boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(2)]
+    with pytest.raises(ShapeMismatch):
+        nms_rotated(boxes, np.array([0.9, 0.8, 0.7]), 0.5)
+
+
 def test_nms_accepts_3d_boxes():
     boxes = [Box3D(0, 0, 0, 4, 2, 1.5, 0), Box3D(0.1, 0, 0, 4, 2, 1.5, 0)]
     assert nms_rotated(boxes, np.array([0.4, 0.6]), 0.1) == [1]
@@ -145,6 +157,15 @@ def test_corners_to_box_tolerates_noise():
 def test_corners_to_box_rejects_collapsed_set():
     with pytest.raises(DegenerateCorners):
         corners_to_box(np.zeros((8, 3)))
+
+
+def test_corners_to_box_rejects_non_finite_corners():
+    corners = geometry.corners_3d(Box3D(0, 0, 0, 4, 2, 1.5, 0.3))
+    for bad in (np.nan, np.inf):
+        broken = corners.copy()
+        broken[5, 1] = bad
+        with pytest.raises(DegenerateCorners):
+            corners_to_box(broken)
 
 
 def test_detection_file_roundtrip(tmp_path):

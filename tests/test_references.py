@@ -1,0 +1,50 @@
+"""Every top-level function and class in ``src/fastpoint`` is used by the
+package itself: code that only the tests run belongs in the tests."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fastpoint"
+
+# (module, name) -> why it may have no reference in the package
+ALLOWED = {
+    ("selfcheck", "finite_diff_check"): "reference that the gradient tests compare against",
+    ("selfcheck", "brute_force_points_in_box"): "reference that the crop tests compare against",
+    ("voxels", "load_grid"): "the reader of the dump_grid format",
+    ("pipeline", "proposal_recall"): "quality metric of the benchmark",
+    ("pipeline", "mean_matched_iou3d"): "quality metric of the benchmark",
+}
+
+
+def _references(trees: dict) -> set:
+    """(module, name) pairs the package refers to: a load of the name in its
+    own module, ``from .module import name``, or ``alias.name`` where
+    ``from . import module as alias`` bound the alias."""
+    refs = set()
+    for mod, tree in trees.items():
+        aliases = {}                        # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        refs.add((node.module, a.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add((mod, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_every_top_level_definition_is_referenced_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    refs = _references(trees)
+    defined = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    unused = sorted(defined - refs - ALLOWED.keys())
+    assert unused == [], f"defined in src/fastpoint but referenced only outside it: {unused}"
+    stale = sorted(ALLOWED.keys() & refs)
+    assert stale == [], f"allowed as unreferenced but referenced now: {stale}"

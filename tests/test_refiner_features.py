@@ -82,20 +82,19 @@ def test_build_box_feature_canonizes_coords():
     box = Box3D(2, 1, 0, 2, 2, 2, np.pi / 2)
     pc = cloud([2, 1, 0, 0.5], [2, 1.5, 0.2, 0.6])
     fmap = np.ones((3, 4, 4))
-    bf = build_box_feature(pc, fmap, box, 0.9, spec((0.0, 8.0), (-4.0, 4.0)))
+    bf = build_box_feature(pc, fmap, box, spec((0.0, 8.0), (-4.0, 4.0)), 0.3)
     assert isinstance(bf, BoxFeature)
     assert bf.coords.shape == (2, 3) and bf.feats.shape == (2, 3)
     assert np.allclose(bf.coords[0], [0, 0, 0], atol=1e-12)
     # +y world offset appears along the proposal's rotated x axis
     assert np.allclose(bf.coords[1], [0.5, 0.0, 0.2], atol=1e-12)
-    assert bf.score == 0.9
 
 
 def test_build_box_feature_empty_raises():
     pc = cloud([50, 50, 0, 0.1])
     with pytest.raises(EmptyProposal):
         build_box_feature(pc, np.ones((2, 4, 4)), Box3D(0, 0, 0, 1, 1, 1, 0),
-                          0.5, spec((0.0, 8.0), (-4.0, 4.0)))
+                          spec((0.0, 8.0), (-4.0, 4.0)), 0.3)
 
 
 def test_feature_lookup_uses_world_position_of_points():
@@ -105,7 +104,7 @@ def test_feature_lookup_uses_world_position_of_points():
     fmap[0, 3, 3] = 2.0
     pc = cloud([0.5, 0.5, 0, 0], [3.5, 3.5, 0, 0])
     box = Box3D(2, 2, 0, 6, 6, 2, 0)
-    bf = build_box_feature(pc, fmap, box, 1.0, spec((0.0, 4.0), (0.0, 4.0)))
+    bf = build_box_feature(pc, fmap, box, spec((0.0, 4.0), (0.0, 4.0)), 0.3)
     assert bf.feats[:, 0].tolist() == [1.0, 2.0]
 
 
@@ -113,6 +112,6 @@ def test_build_box_feature_maps_the_voxel_range_onto_the_feature_map():
     # a 4 x 4 map over x 10..18, y -6..2: cells are 2 m wide from the range's corner
     fmap = np.arange(16, dtype=float).reshape(1, 4, 4)
     pc = cloud([10.5, -5.5, 0, 0], [17.5, 1.5, 0, 0], [13.0, -1.0, 0, 0])
-    bf = build_box_feature(pc, fmap, Box3D(14, -2, 0, 10, 10, 2, 0), 1.0,
-                           spec((10.0, 18.0), (-6.0, 2.0)))
+    bf = build_box_feature(pc, fmap, Box3D(14, -2, 0, 10, 10, 2, 0),
+                           spec((10.0, 18.0), (-6.0, 2.0)), 0.3)
     assert bf.feats[:, 0].tolist() == [fmap[0, 0, 0], fmap[0, 3, 3], fmap[0, 1, 2]]
