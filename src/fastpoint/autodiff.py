@@ -5,15 +5,52 @@ primitive records a closure that maps the output gradient to parent
 gradients; ``Tensor.backward`` runs a topological sweep from a scalar loss.
 Only leaf tensors (no parents, e.g. parameters) keep a ``.grad``; it
 accumulates across backward calls until ``zero_grad``.
+
+A graph is single-use: ``backward`` drops each node's parents and closure
+once its gradient has been passed on, so intermediates are freed during
+the sweep, and a second backward through the same graph raises
+``GraphConsumed``. Inside ``with no_grad():`` no graph is recorded at all:
+outputs have no parents, and backward-only state (such as ``relu``'s mask)
+is never computed.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 
 class NotScalar(ValueError):
     """backward() was called on a non-scalar tensor."""
+
+
+class GraphConsumed(RuntimeError):
+    """backward() reached a node whose graph an earlier backward freed."""
+
+
+def _consumed(g):
+    """Stands in for the closure of a node that a backward has consumed."""
+    raise GraphConsumed("backward() through a graph that an earlier backward() freed")
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the scope; the previous mode returns on exit."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -63,6 +100,9 @@ class Tensor:
 
     # -------------------------------------------------------------- backward
     def backward(self):
+        """Accumulate the gradient of this scalar into every leaf's .grad,
+        consuming the graph: each node's parents and closure are dropped
+        once its gradient has been passed on."""
         if self.data.size != 1:
             raise NotScalar(f"backward requires a scalar, got shape {self.data.shape}")
         topo, seen = [], set()
@@ -74,21 +114,30 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)     # raises before any leaf's .grad is touched
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        # popped in reverse topological order, so once a node is done nothing
+        # but outside references keep it alive; every key of grads is a node
+        # still in topo, so ids of freed nodes are never looked up
+        while topo:
+            node = topo.pop()
+            parents, bwd = node._parents, node._backward
+            if parents:
+                node._parents, node._backward = (), _consumed
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and not node._parents:
+            if node.requires_grad and not parents:
                 node.grad = g.copy() if node.grad is None else node.grad + g
-            if node._backward is None:
+            if bwd is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, bwd(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if id(parent) in grads:
@@ -229,8 +278,7 @@ class Tensor:
 
 
 def _make(parents, data):
-    req = any(p.requires_grad for p in parents)
-    if req:
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents)
     return Tensor(data)
 

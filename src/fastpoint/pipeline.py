@@ -11,6 +11,7 @@ import numpy as np
 
 from . import geometry, refiner_features
 from .anchors import AnchorSet, build_anchor_grid, decode_corners
+from .autodiff import no_grad
 from .config import PipelineConfig, PostParams
 from .errors import EmptyProposal
 from .kitti import PointCloud
@@ -55,7 +56,9 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
     times["voxelize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cls_map, reg_map, fused = rpn.forward(slots, counts, grid.coords, grid.dims, train=False)
+    with no_grad():     # inference never runs backward: record no graph
+        cls_map, reg_map, fused = rpn.forward(slots, counts, grid.coords, grid.dims,
+                                              train=False)
     times["rpn_forward"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -74,7 +77,8 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
         except EmptyProposal:
             refined.append(det)      # pointless to refine without points
             continue
-        pred = refiner.forward(bf.coords, bf.feats, train=False)
+        with no_grad():
+            pred = refiner.forward(bf.coords, bf.feats, train=False)
         corners = decode_corners(pred.data, det.box)
         try:
             refined.append(Detection(corners_to_box(corners), det.score, det.cls))

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from . import geometry
+from .autodiff import no_grad
 from .geometry import Box3D, BoxBEV
 
 
@@ -62,10 +63,11 @@ def finite_diff_check(make_loss, params: list, n_coords: int = 5, step: float = 
         k = min(n_coords, flat.size)
         for i in rng.choice(flat.size, size=k, replace=False):
             orig = flat[i]
-            flat[i] = orig + step
-            hi = make_loss().item()
-            flat[i] = orig - step
-            lo = make_loss().item()
+            with no_grad():     # the probes only read the loss value
+                flat[i] = orig + step
+                hi = make_loss().item()
+                flat[i] = orig - step
+                lo = make_loss().item()
             flat[i] = orig
             fd = (hi - lo) / (2 * step)
             scale = max(abs(fd), abs(gflat[i]), 1e-8)

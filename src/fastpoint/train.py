@@ -10,6 +10,7 @@ import numpy as np
 
 from . import geometry, losses, refiner_features
 from .anchors import assign_targets, build_anchor_grid, encode_corners
+from .autodiff import no_grad
 from .config import PipelineConfig
 from .errors import EmptyProposal
 from .kitti import PointCloud
@@ -196,9 +197,9 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
     rng = np.random.default_rng(cfg.seed * 104729 + 11)
     cache = []
     for frame in prepared:
-        # plain arrays: the forward graph is freed before the next frame's
-        cls_map, reg_map, fused = (t.data for t in rpn.forward(
-            frame.slots, frame.counts, frame.coords, spec.dims, train=False))
+        with no_grad():
+            cls_map, reg_map, fused = (t.data for t in rpn.forward(
+                frame.slots, frame.counts, frame.coords, spec.dims, train=False))
         proposals = select_proposals(cls_map, reg_map, anchor_set, cfg.post)
         pairs = _refiner_training_pairs(proposals, frame, cfg)
         boxes = [(det.box, gt) for det, gt in pairs]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastpoint import autodiff as ad
-from fastpoint.autodiff import Tensor, NotScalar
+from fastpoint.autodiff import GraphConsumed, NotScalar, Tensor
 
 
 def fd_grad(f, x, step=1e-6):
@@ -212,3 +212,42 @@ def test_numpy_operand_does_not_absorb_tensor():
     assert isinstance(out, Tensor)
     out.sum().backward()
     assert np.allclose(x.grad, 2.0)
+
+
+def test_no_grad_records_no_graph():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with ad.no_grad():
+        h = ad.relu(w * 3.0)
+        out = h.sum()
+    assert h._parents == () and out._parents == () and not out.requires_grad
+    assert np.array_equal(h.data, [3.0, 0.0])
+    out.backward()
+    assert w.grad is None
+    ad.relu(w * 3.0).sum().backward()      # recorded again after the scope
+    assert np.array_equal(w.grad, [3.0, 0.0])
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad     # the inner exit kept the outer scope
+            raise KeyError("inside")
+    assert (w * 2.0)._parents
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = x * x
+    first, shared = y.sum(), (y * 3.0).sum()
+    first.backward()
+    grad = x.grad.copy()
+    with pytest.raises(GraphConsumed):
+        first.backward()
+    with pytest.raises(GraphConsumed):
+        shared.backward()       # reaches y, which the first sweep consumed
+    assert np.array_equal(x.grad, grad)     # the refused sweeps touched no leaf
+    (x * x).sum().backward()
+    assert np.array_equal(x.grad, 2 * grad)

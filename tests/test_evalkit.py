@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastpoint import evalkit, geometry
+from fastpoint import geometry
 from fastpoint.evalkit import (EvalConfig, EvalGt, MissingFrame, average_precision,
                                evaluate, evaluate_table, format_table,
                                match_detections)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fastpoint import kitti
-from fastpoint.kitti import (Calibration, FrameLabel, MalformedCalib, MalformedLabel,
-                             PointCloud, TruncatedFile)
+from fastpoint.kitti import (Calibration, MalformedCalib, MalformedLabel, PointCloud,
+                             TruncatedFile)
 
 
 def make_label_line(cls="Car", trunc=0.0, occ=0, bbox=(300, 150, 400, 250),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,6 +443,19 @@ def test_rpn_gradients_flow_to_all_parameters():
                or not np.any(rpn.params.tensors[n].grad)]
     # bn shifts of dead branches aside, everything should receive gradient
     assert missing == [], missing
+
+
+def test_backward_frees_the_rpn_graph():
+    rng = np.random.default_rng(10)
+    rpn = VoxelRPN(tiny_cfg(), seed=0)
+    cls_map, reg_map, fused = rpn.forward(*make_voxels(rng, dims=(32, 32, 20), n=400),
+                                          train=True)
+    loss = cls_map.sum() + (reg_map * reg_map).sum()
+    ref = weakref.ref(fused.data)   # Tensor has __slots__ and takes no weakref
+    del cls_map, reg_map, fused
+    assert ref() is not None        # the loss's graph holds the fused map
+    loss.backward()
+    assert ref() is None and loss._parents == ()
 
 
 # --------------------------------------------------------------- RefinerNet

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -123,6 +125,29 @@ def test_infer_frame_dense_scene_outputs_pinned():
     assert len(res.proposals) == 28
     assert detections_digest(res) == (
         "0c6538f3d106529e9e52fb981cf7146032489622582f1b051ed2aa938e23453d")
+
+
+def test_infer_frame_records_no_graph(monkeypatch):
+    # measured: 22 MB against 77 MB with the graph recorded (ratio 0.29)
+    cfg = toy_config()
+    frame_id, pc, _ = toy_frame(cfg)
+    rpn = VoxelRPN(cfg.net_config(), seed=0)
+    refiner = RefinerNet(cfg.refiner_config(), seed=1)
+    infer_frame(frame_id, pc, rpn, refiner, cfg)    # fills the conv index cache
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            res = infer_frame(frame_id, pc, rpn, refiner, cfg)
+            return tracemalloc.get_traced_memory()[1], detections_digest(res)
+        finally:
+            tracemalloc.stop()
+
+    lean, lean_digest = traced_peak()
+    monkeypatch.setattr(pipeline, "no_grad", contextlib.nullcontext)
+    full, full_digest = traced_peak()
+    assert lean < 0.5 * full, (lean, full)
+    assert lean_digest == full_digest
 
 
 def box_at(x, y=0.0):

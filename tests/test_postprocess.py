@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fastpoint import geometry, postprocess
+from fastpoint import geometry
 from fastpoint.anchors import AnchorSpec, build_anchor_grid, encode_rpn
 from fastpoint.errors import ShapeMismatch
 from fastpoint.geometry import Box3D, BoxBEV

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fastpoint import geometry
 from fastpoint.geometry import Box3D
 from fastpoint.errors import EmptyProposal
 from fastpoint.kitti import PointCloud

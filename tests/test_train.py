@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 from fastpoint import geometry, train
-from fastpoint.anchors import build_anchor_grid
+from fastpoint.anchors import build_anchor_grid, encode_corners
 from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.geometry import Box3D
+from fastpoint.losses import corner_loss
 from fastpoint.nn import Parameters, RefinerNet, VoxelRPN
 from fastpoint.postprocess import Detection
+from fastpoint.refiner_features import build_box_feature
 from fastpoint.synthetic import generate_dataset
 from fastpoint.train import (Adam, SGD, _jitter_proposal, _lr_at, make_optimizer,
                              merge_parameters, prepare_frames, rpn_loss)
@@ -117,3 +120,31 @@ def test_prepare_frames_and_rpn_loss_backward():
     head_grads = [t.grad for n, t in rpn.params.tensors.items()
                   if n.startswith(("rpn/cls", "rpn/reg")) and t.grad is not None]
     assert head_grads and any(np.abs(g).max() > 0 for g in head_grads)
+
+
+def test_rpn_and_refiner_gradients_pinned():
+    # taken before backward freed the graph it walks: the sweep order and the
+    # accumulation order are unchanged, so no gradient may move a bit
+    cfg = toy_config()
+    spec = cfg.voxel_spec()
+    frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 2, cfg.seed)
+    anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), spec)
+    rpn = VoxelRPN(cfg.net_config(), seed=cfg.seed)
+    refiner = RefinerNet(cfg.refiner_config(), seed=cfg.seed + 1)
+    digest = hashlib.sha256()
+    for frame in prepare_frames(frames, cfg, anchor_set):
+        rpn.params.zero_grad()
+        refiner.params.zero_grad()
+        rpn_loss(rpn, frame, cfg, train=True).backward()
+        fused = rpn.forward(frame.slots, frame.counts, frame.coords, spec.dims)[2].data
+        loss = Tensor(0.0)
+        for gt in frame.gts:
+            box = Box3D(gt.x + 0.2, gt.y - 0.1, gt.z, gt.l * 1.05, gt.w, gt.h, gt.theta + 0.1)
+            bf = build_box_feature(frame.pc, fused, box, spec, cfg.post.crop_margin)
+            pred = refiner.forward(bf.coords, bf.feats, train=True)
+            loss = loss + corner_loss(pred, encode_corners(gt, box), cfg.loss.sigma)
+        loss.backward()
+        for name, t in sorted({**rpn.params.tensors, **refiner.params.tensors}.items()):
+            digest.update(name.encode() + (b"none" if t.grad is None else t.grad.tobytes()))
+    assert digest.hexdigest() == (
+        "ca7f3cdecdf0eae80220d5e1b56c28de548eabf7487d3aba9e1f167dff8dae27")
