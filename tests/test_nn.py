@@ -217,6 +217,76 @@ def test_deconv_gradient_finite_difference():
     assert finite_diff_check(make_loss, [x, w, b], n_coords=4) < 1e-4
 
 
+def deconv_reference(x, w, b, stride, padding):
+    """Transposed convolution from its definition, in plain loops:
+    out[o, i*s + t - p] += w[o, c, t] * x[c, i], then + b[o]."""
+    cin, spatial = x.shape[0], x.shape[1:]
+    cout, kernel = w.shape[0], w.shape[2:]
+    size = tuple((n - 1) * s - 2 * p + k
+                 for n, s, p, k in zip(spatial, stride, padding, kernel))
+    out = np.zeros((cout,) + size)
+    for i in np.ndindex(*spatial):
+        for t in np.ndindex(*kernel):
+            site = tuple(a * s + u - p for a, s, u, p in zip(i, stride, t, padding))
+            if not all(0 <= q < n for q, n in zip(site, size)):
+                continue
+            for o in range(cout):
+                for c in range(cin):
+                    out[(o,) + site] += w[(o, c) + t] * x[(c,) + i]
+    return out + b.reshape((cout,) + (1,) * len(spatial))
+
+
+# (kernel, stride) on the first axis: kernel below, equal to and above the stride
+DECONV_AXES = ((1, 2), (2, 3), (2, 2), (3, 3), (4, 4), (3, 2), (3, 1), (4, 1))
+
+
+def deconv_cases(seed=0):
+    """Seeded random 1-D, 2-D and 3-D deconv inputs: the first axis walks
+    DECONV_AXES with every padding 0..k-1, the other axes are drawn."""
+    rng = np.random.default_rng(seed)
+    for ndim in (1, 2, 3):
+        for k0, s0 in DECONV_AXES:
+            for p0 in range(k0):
+                kernel, stride, padding, spatial = [k0], [s0], [p0], []
+                for _ in range(ndim - 1):
+                    k, s = DECONV_AXES[rng.integers(len(DECONV_AXES))]
+                    kernel.append(k)
+                    stride.append(s)
+                    padding.append(int(rng.integers(k)))
+                for k, s, p in zip(kernel, stride, padding):
+                    n = int(rng.integers(1, 4))
+                    while (n - 1) * s - 2 * p + k < 1:
+                        n += 1
+                    spatial.append(n)
+                cin, cout = (int(v) for v in rng.integers(1, 4, size=2))
+                yield (rng.normal(size=(cin,) + tuple(spatial)),
+                       rng.normal(size=(cout, cin) + tuple(kernel)),
+                       rng.normal(size=cout), tuple(stride), tuple(padding))
+
+
+def test_deconv_matches_direct_definition():
+    n = 0
+    for x, w, b, stride, padding in deconv_cases():
+        got = deconv_nd(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        want = deconv_reference(x, w, b, stride, padding)
+        assert got.shape == want.shape, (stride, padding, w.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (stride, padding)
+        n += 1
+    assert n == 3 * sum(k for k, _ in DECONV_AXES)
+
+
+def test_deconv_rejects_channel_mismatch():
+    with pytest.raises(ShapeMismatch):
+        deconv_nd(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((1, 3, 2, 2))),
+                  Tensor(np.zeros(1)), (2, 2), (0, 0))
+
+
+def test_deconv_rejects_padding_above_kernel_minus_one():
+    with pytest.raises(ShapeMismatch):
+        deconv_nd(Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros((1, 1, 3, 3))),
+                  Tensor(np.zeros(1)), (2, 2), (1, 3))
+
+
 def test_conv_gradient_finite_difference():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
