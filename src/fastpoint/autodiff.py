@@ -360,13 +360,17 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
-    """Place row i of x at row indices[i] of a zero (size, ...) tensor.
+    """Add row i of x into row indices[i] of a zero (size, ...) tensor.
 
-    The indices must be distinct; backward gathers the rows back.
+    The adjoint of take: repeated indices add, in index order as take's
+    backward adds; backward gathers the rows back.
     """
     x = as_tensor(x)
-    data = np.zeros((size,) + x.data.shape[1:])
-    data[indices] = x.data
+    row = x.data.shape[1:]
+    width = int(np.prod(row))
+    flat = (np.asarray(indices).reshape(-1, 1) * width + np.arange(width)).ravel()
+    data = np.bincount(flat, weights=x.data.ravel(),
+                       minlength=size * width).reshape((size,) + row)
     out = _make((x,), data)
     if out._parents:
         out._backward = lambda g: (g[indices],)
