@@ -453,6 +453,13 @@ class VoxelRPN:
     def _p(self, name):
         return self.params.tensors[name]
 
+    def _conv_bn_relu(self, conv, name, ly: ConvLayer, train, *inputs) -> Tensor:
+        """conv(*inputs, w, b, stride, padding) with the layer's weights under
+        name, then its batch norm and a ReLU."""
+        x = conv(*inputs, self._p(name + "/w"), self._p(name + "/b"), ly.stride, ly.padding)
+        return ad.relu(batchnorm(x, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
+                                 self.params.stats, name + "/bn", train))
+
     def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
                       train: bool) -> Tensor:
         """Per-point MLP + masked max-pool over the occupied voxels:
@@ -479,33 +486,20 @@ class VoxelRPN:
         reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
         cfg = self.cfg
         x = self.encode_voxels(slots, counts, coords, train)
-        for i, ly in enumerate(cfg.conv3d):
-            w, b = self._p(f"rpn/conv3d{i}/w"), self._p(f"rpn/conv3d{i}/b")
-            # the first conv reads the voxel rows; its output map is dense
-            x = (conv_voxels(x, coords, dims, w, b, ly.stride, ly.padding) if i == 0
-                 else conv_nd(x, w, b, ly.stride, ly.padding))
-            x = ad.relu(batchnorm(x, self._p(f"rpn/conv3d{i}/bn/scale"),
-                                  self._p(f"rpn/conv3d{i}/bn/shift"),
-                                  self.params.stats, f"rpn/conv3d{i}/bn", train))
+        # the first conv reads the voxel rows; its output map is dense
+        x = self._conv_bn_relu(conv_voxels, "rpn/conv3d0", cfg.conv3d[0], train, x, coords, dims)
+        for i, ly in enumerate(cfg.conv3d[1:], 1):
+            x = self._conv_bn_relu(conv_nd, f"rpn/conv3d{i}", ly, train, x)
         if x.shape[3] != 1:
             raise ConfigError(f"3D stack left Z = {x.shape[3]}, expected 1")
         x = x.reshape(x.shape[0], x.shape[1], x.shape[2])
         branches = []
         for bi, block in enumerate(cfg.blocks2d):
             for li, ly in enumerate(block):
-                name = f"rpn/block{bi + 2}_{li}"
-                x = conv_nd(x, self._p(name + "/w"), self._p(name + "/b"), ly.stride, ly.padding)
-                x = ad.relu(batchnorm(x, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
-                                      self.params.stats, name + "/bn", train))
+                x = self._conv_bn_relu(conv_nd, f"rpn/block{bi + 2}_{li}", ly, train, x)
             branches.append(x)
-        ups = []
-        for bi, (src, ly) in enumerate(zip(branches, cfg.deconv)):
-            name = f"rpn/branch{bi + 2}"
-            u = deconv_nd(src, self._p(name + "/w"), self._p(name + "/b"), ly.stride, ly.padding)
-            u = ad.relu(batchnorm(u, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
-                                  self.params.stats, name + "/bn", train))
-            ups.append(u)
-        fused = ad.concat(ups, axis=0)
+        fused = ad.concat([self._conv_bn_relu(deconv_nd, f"rpn/branch{bi + 2}", ly, train, src)
+                           for bi, (src, ly) in enumerate(zip(branches, cfg.deconv))], axis=0)
         cls = ad.sigmoid(conv_nd(fused, self._p("rpn/cls/w"), self._p("rpn/cls/b"),
                                  (1, 1), (0, 0)))
         reg = conv_nd(fused, self._p("rpn/reg/w"), self._p("rpn/reg/b"), (1, 1), (0, 0))
