@@ -262,12 +262,6 @@ class Tensor:
             out._backward = lambda g: (g.transpose(inv),)
         return out
 
-    def flip(self, axes):
-        out = _make((self,), np.flip(self.data, axes))
-        if out._parents:
-            out._backward = lambda g: (np.flip(g, axes),)
-        return out
-
     def clip(self, lo, hi):
         """Clamp values; gradient is zero outside [lo, hi]."""
         out = _make((self,), np.clip(self.data, lo, hi))
@@ -374,19 +368,6 @@ def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
     out = _make((x,), data)
     if out._parents:
         out._backward = lambda g: (g[indices],)
-    return out
-
-
-def dilate(x: Tensor, factors) -> Tensor:
-    """Insert (factor-1) zeros between elements along each axis (transposed-conv helper)."""
-    x = as_tensor(x)
-    shape = tuple((s - 1) * f + 1 if s > 0 else 0 for s, f in zip(x.data.shape, factors))
-    data = np.zeros(shape)
-    sl = tuple(slice(None, None, f) for f in factors)
-    data[sl] = x.data
-    out = _make((x,), data)
-    if out._parents:
-        out._backward = lambda g: (g[sl],)
     return out
 
 

@@ -243,19 +243,29 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
 
 
 def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
-    """Transposed convolution: out size = (in - 1) * s - 2p + k.
+    """Transposed convolution, the adjoint of conv_nd's gather:
+    out[o, i*s + t - p] += w[o, c, t] * x[c, i], so out size = (in - 1) * s - 2p + k.
 
-    w: (Cout, Cin, *K). Implemented as zero-dilation by the stride followed
-    by a stride-1 convolution with the spatially flipped kernel.
+    x: (Cin, *S); w: (Cout, Cin, *K). The (Cout*K, Cin) taps times the
+    (Cin, prod(S)) input are every product at once; they are summed into the
+    uncropped (Cout, *((S - 1) * s + K)) output at the im2col positions
+    conv_nd would gather from it, and the padding is cropped.
     """
-    kernel = w.shape[2:]
-    ndim = len(kernel)
-    d = ad.dilate(x, (1,) + tuple(stride))
-    wc = w.flip(tuple(range(2, 2 + ndim)))
-    pads = tuple(k - 1 - p for k, p in zip(kernel, padding))
-    if any(p < 0 for p in pads):
+    cin, spatial = x.shape[0], x.shape[1:]
+    cout, kernel, ndim = w.shape[0], tuple(w.shape[2:]), len(spatial)
+    if w.shape[1] != cin:
+        raise ShapeMismatch(f"input channels {cin} vs weight {w.shape[1]}")
+    if any(p > k - 1 for p, k in zip(padding, kernel)):
         raise ShapeMismatch("padding exceeds kernel - 1")
-    return conv_nd(d, wc, b, (1,) * ndim, pads)
+    full = tuple((s - 1) * st + k for s, st, k in zip(spatial, stride, kernel))
+    if any(f - 2 * p < 1 for f, p in zip(full, padding)):
+        raise ShapeMismatch(f"deconv of {spatial} by kernel {kernel} has no output")
+    taps = w.transpose((0,) + tuple(range(2, 2 + ndim)) + (1,)).reshape(-1, cin)
+    idx, _ = _im2col_indices(cout, full, kernel, tuple(stride))
+    sites = np.arange(cout * int(np.prod(full))).reshape((cout,) + full)
+    y = ad.scatter((taps @ x.reshape(cin, -1)).reshape(-1), idx.ravel(), sites.size)
+    crop = sites[(slice(None),) + tuple(slice(p, f - p) for f, p in zip(full, padding))]
+    return ad.take(y, crop) + b.reshape((cout,) + (1,) * ndim)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -122,21 +122,6 @@ def test_encode_unit_square_diagonal():
     assert A.encode_rpn(gt, anchor, d_a)[0] == pytest.approx(1 / math.sqrt(20), abs=1e-12)
 
 
-def test_encode_decode_roundtrip_random():
-    rng = np.random.default_rng(1)
-    pairs = [(random_box3d(rng), random_box3d(rng)) for _ in range(300)]
-    gts = np.array([gt.as_array() for gt, _ in pairs])
-    boxes = np.array([anchor.as_array() for _, anchor in pairs])
-    diag = np.hypot(boxes[:, 3], boxes[:, 4])
-    deltas = np.array([A.encode_rpn(gt, anchor, d_a)
-                       for (gt, anchor), d_a in zip(pairs, diag)])
-    dec = A.decode_rpn(deltas, boxes, diag)
-    assert np.allclose(dec[:, :6], gts[:, :6], atol=1e-9)
-    # heading recovered modulo pi (the BEV rectangle is identical)
-    dtheta = np.abs([geometry.normalize_angle(t) for t in dec[:, 6] - gts[:, 6]])
-    assert np.all(np.minimum(dtheta, np.abs(dtheta - math.pi)) < 1e-9)
-
-
 def test_angle_target_wrapped_to_half_pi_band():
     anchor = Box3D(0, 0, 0, 2, 1, 1, 0.0)
     gt = Box3D(0, 0, 0, 2, 1, 1, 2.0)  # ~114.6 deg

@@ -80,12 +80,11 @@ def test_max_axis_routes_gradient_to_first_argmax():
     assert np.array_equal(x.grad, expected)
 
 
-def test_reshape_transpose_flip_grads():
+def test_reshape_transpose_grads():
     check_op(lambda ts: (ts[0].reshape(6).transpose((0,)) * 2).sum(), [(2, 3)])
-    check_op(lambda ts: (ts[0].transpose((1, 0)).flip((0,)) ** 3).sum(), [(2, 3)])
 
 
-def test_log_exp_sigmoid_relu_abs_sqrt_grads():
+def test_log_sigmoid_relu_abs_grads():
     rng = np.random.default_rng(2)
     pos = rng.uniform(0.5, 2.0, size=(6,))
     t = Tensor(pos.copy(), requires_grad=True)
@@ -166,15 +165,6 @@ def test_scatter_adds_repeated_indices():
     r = np.random.default_rng(4).normal(size=(5, 2))
     check_op(lambda ts: ((ad.scatter(ts[0], rows, 5) * r) ** 2).sum(), [(6, 2)])
     check_op(lambda ts: (ad.scatter(ts[0], rows, 5) ** 3).sum(), [(6,)])
-
-
-def test_dilate_inserts_zeros_and_backward_slices():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    d = ad.dilate(x, (2, 2))
-    assert d.shape == (3, 3)
-    assert np.array_equal(d.data, np.array([[1, 0, 2], [0, 0, 0], [3, 0, 4]], dtype=float))
-    d.sum().backward()
-    assert np.all(x.grad == 1.0)
 
 
 def test_where_mask_selects_and_masks_gradient():

@@ -124,7 +124,11 @@ def test_prepare_frames_and_rpn_loss_backward():
 
 def test_rpn_and_refiner_gradients_pinned():
     # taken before backward freed the graph it walks: the sweep order and the
-    # accumulation order are unchanged, so no gradient may move a bit
+    # accumulation order are unchanged, so no gradient may move a bit.
+    # Re-pinned once when deconv_nd became the adjoint of conv_nd's gather:
+    # the branches sum their taps in another order, which moved the gradients
+    # by <= 5.7e-15 of each tensor's largest entry (the conv biases before
+    # batch norm, whose exact gradient is 0, by <= 3.2e-13 absolute)
     cfg = toy_config()
     spec = cfg.voxel_spec()
     frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 2, cfg.seed)
@@ -147,4 +151,4 @@ def test_rpn_and_refiner_gradients_pinned():
         for name, t in sorted({**rpn.params.tensors, **refiner.params.tensors}.items()):
             digest.update(name.encode() + (b"none" if t.grad is None else t.grad.tobytes()))
     assert digest.hexdigest() == (
-        "ca7f3cdecdf0eae80220d5e1b56c28de548eabf7487d3aba9e1f167dff8dae27")
+        "105e4808d8c05b6c9588debcc0db2b91f14956bcac822e5aa8aec048e0f0b9ea")
