@@ -93,10 +93,12 @@ def corners_3d(b: Box3D) -> np.ndarray:
 
 
 def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a CCW polygon."""
+    """Shoelace area of a CCW polygon, summed about its first vertex: on
+    absolute coordinates a small polygon far out cancels |position|^2 / area
+    of its digits."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
+    x, y = poly[:, 0] - poly[0, 0], poly[:, 1] - poly[0, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -193,7 +195,9 @@ def _iou_bev_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t = dp[r, c] / (dp[r, c] - dq[r, c])
         out[r, start[r, c] + inside[r, c]] = p + t[:, None] * (q - p)
         poly = out
-    # zero padding adds nothing to the shoelace sums
+    # shoelace about each polygon's first vertex, as _polygon_area sums it;
+    # padding rows' successor is that vertex, now 0, so they add exact zeros
+    poly = poly - poly[:, :1]
     q = poly[pair, _next_vertex(n, poly.shape[1])]
     shoelace = (np.sum(poly[..., 0] * q[..., 1], axis=1)
                 - np.sum(poly[..., 1] * q[..., 0], axis=1))

@@ -47,6 +47,21 @@ def test_iou_identical_boxes():
     assert geometry.iou_bev(b, b) == pytest.approx(1.0)
 
 
+def test_small_far_box_self_iou_keeps_its_digits():
+    # a 6.6 x 4.4 cm box 3.4 m out: a shoelace summed on absolute coordinates
+    # cancels ~eps * |position|^2 / area and read up to 1.8e-12 off 1. What
+    # remains is the corners' own rounding, ~eps * |position| / width per
+    # coordinate (measured <= 2.4e-14 here)
+    boxes = [BoxBEV(3.4 * math.cos(phi), 3.4 * math.sin(phi), 0.066, 0.044, theta)
+             for phi in np.linspace(0, 2 * math.pi, 24, endpoint=False)
+             for theta in (0.0, 0.1, 0.9, 1.4)]
+    bound = 4 * np.finfo(float).eps * 3.4 / 0.044
+    for b in boxes:
+        assert abs(geometry.iou_bev(b, b) - 1.0) < bound, b
+    rows = geometry.bev_rows(boxes)
+    assert np.all(np.abs(np.diag(geometry.iou_bev_matrix(rows, rows)) - 1.0) < bound)
+
+
 def test_iou_disjoint_boxes():
     assert geometry.iou_bev(BoxBEV(0, 0, 2, 2, 0.3), BoxBEV(10, 0, 2, 2, 1.0)) == 0.0
 
