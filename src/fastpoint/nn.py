@@ -2,8 +2,9 @@
 
 Everything runs on the float64 autodiff tensors from ``autodiff``.
 Convolutions are im2col gathers followed by a matmul; transposed
-convolution is zero-dilation plus a flipped-kernel convolution. Layouts
-are channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
+convolution is their adjoint, a matmul whose products are scatter-added
+at the same im2col positions. Layouts are channels-first for feature
+maps: (C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
 occupied voxel, six 3D conv layers collapsing Z to 1 (the first reads the

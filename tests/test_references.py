@@ -1,5 +1,6 @@
-"""Every top-level function and class in ``src/fastpoint`` is used by the
-package itself: code that only the tests run belongs in the tests."""
+"""Every top-level function and class in ``src/fastpoint``, and every public
+method of its classes, is used by the package itself: code that only the
+tests run belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,26 @@ def test_every_top_level_definition_is_referenced_in_the_package():
     assert unused == [], f"defined in src/fastpoint but referenced only outside it: {unused}"
     stale = sorted(ALLOWED.keys() & refs)
     assert stale == [], f"allowed as unreferenced but referenced now: {stale}"
+
+
+def _method_loads(tree) -> set:
+    """Attribute names loaded in tree, except on a module (``np.flip`` is
+    not a method call): names bound by ``import`` or ``from . import``."""
+    modules = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    modules |= {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module is None for a in node.names}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
+def test_every_public_method_is_loaded_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    loaded = set().union(*map(_method_loads, trees.values()))
+    unused = sorted(f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items()
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_") and fn.name not in loaded)
+    assert unused == [], f"public methods that no code in src/fastpoint calls: {unused}"
