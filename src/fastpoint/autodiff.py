@@ -362,10 +362,12 @@ def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
     x = as_tensor(x)
     row = x.data.shape[1:]
     width = int(np.prod(row))
-    flat = (np.asarray(indices).reshape(-1, 1) * width + np.arange(width)).ravel()
-    data = np.bincount(flat, weights=x.data.ravel(),
-                       minlength=size * width).reshape((size,) + row)
-    out = _make((x,), data)
+    flat = indices
+    if row:
+        # row i covers the flat cells indices[i] * width + (0 .. width - 1)
+        flat = (np.asarray(indices).reshape(-1, 1) * width + np.arange(width)).ravel()
+    data = np.bincount(flat, weights=x.data.ravel(), minlength=size * width)
+    out = _make((x,), data.reshape((size,) + row))
     if out._parents:
         out._backward = lambda g: (g[indices],)
     return out
