@@ -283,15 +283,24 @@ def canonize_box(frame: Box3D, subject: Box3D) -> Box3D:
 
 
 def points_in_box(points: np.ndarray, b: Box3D, margin: float = 0.0) -> np.ndarray:
-    """Boolean mask of points (N, >=3) inside the box expanded by margin on every face."""
+    """Boolean mask of points (N, >=3) inside the box expanded by margin on every face.
+
+    Only the points within the expanded box's axis-aligned BEV bounds, widened
+    by a rounding tolerance, and within its z range are canonized; the rest
+    cannot pass the canonized test, so the mask is that test's on every point.
+    """
     if margin < 0:
         raise ValueError("margin must be non-negative")
     pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    local = canonize_points(b, pts[:, :3])
-    return (
-        (np.abs(local[:, 0]) <= b.l / 2 + margin)
-        & (np.abs(local[:, 1]) <= b.w / 2 + margin)
-        & (np.abs(local[:, 2]) <= b.h / 2 + margin)
-    )
+    hl, hw, hh = b.l / 2 + margin, b.w / 2 + margin, b.h / 2 + margin
+    c, s = abs(math.cos(b.theta)), abs(math.sin(b.theta))
+    # canonizing rounds each coordinate by a few ulps of the box's extent
+    tol = 1e-9 * (hl + hw)
+    near = np.flatnonzero(np.abs(pts[:, 0] - b.x) <= c * hl + s * hw + tol)
+    near = near[(np.abs(pts[near, 1] - b.y) <= s * hl + c * hw + tol)
+                # canonize_points' z is this same difference, so the test is exact
+                & (np.abs(pts[near, 2] - b.z) <= hh)]
+    local = canonize_points(b, pts[near, :3])
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[near] = (np.abs(local[:, 0]) <= hl) & (np.abs(local[:, 1]) <= hw)
+    return mask

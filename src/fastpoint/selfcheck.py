@@ -196,7 +196,17 @@ def run_selftest(quick: bool = True, report=print) -> bool:
                 for b in range(a + 1, len(gts2)):
                     assert geometry.iou_bev(gts2[a].bev(), gts2[b].bev()) == 0.0
 
+    def crop_suite():
+        rng = np.random.default_rng(3)
+        for k in range(30 if quick else 300):
+            box, margin = random_box3d(rng), (0.0, 0.3, 2.0)[k % 3]
+            pts = np.array([box.x, box.y, box.z]) + rng.uniform(-6.0, 6.0, (400, 3))
+            got = geometry.points_in_box(pts, box, margin)
+            ref = brute_force_points_in_box(pts, box, margin)
+            assert np.array_equal(got, ref), f"box {k}: {np.count_nonzero(got != ref)} points differ"
+
     suite("geometry.iou_bev and iou_bev_matrix vs Monte-Carlo", geometry_suite)
+    suite("crop vs brute force", crop_suite)
     suite("encode/decode round-trips", roundtrip_suite)
     suite("loss hand values", loss_suite)
     suite("rotated NMS vs brute force", nms_suite)

@@ -85,7 +85,8 @@ def test_seed_override(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out = run(["selftest"], capsys)
     assert code == 0
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert "PASS crop vs brute force" in out
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -253,6 +253,68 @@ def test_canonize_box_roundtrip_and_center():
     assert np.allclose(back.as_array(), sub.as_array(), atol=1e-12)
 
 
+def reference_points_in_box(points, b, margin=0.0):
+    """Reference for points_in_box: canonize every point, then compare."""
+    local = geometry.canonize_points(b, np.asarray(points, dtype=np.float64)[:, :3])
+    return ((np.abs(local[:, 0]) <= b.l / 2 + margin)
+            & (np.abs(local[:, 1]) <= b.w / 2 + margin)
+            & (np.abs(local[:, 2]) <= b.h / 2 + margin))
+
+
+def planted_points(b, margin, rng):
+    """Points on the faces and corners of b expanded by margin, on the corners
+    of its axis-aligned BEV bounds, and each of those moved 1 ulp along every
+    axis, plus points scattered around the box."""
+    half = np.array([b.l / 2 + margin, b.w / 2 + margin, b.h / 2 + margin])
+    faces = []
+    for ax in range(3):
+        for sign in (-1.0, 1.0):
+            p = rng.uniform(-1, 1, (8, 3)) * half
+            p[:, ax] = sign * half[ax]
+            faces.append(p)
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    on_box = geometry.uncanonize_points(b, np.vstack(faces + [signs * half]))
+    c, s = abs(math.cos(b.theta)), abs(math.sin(b.theta))
+    bounds = np.array([c * half[0] + s * half[1], s * half[0] + c * half[1], half[2]])
+    base = np.vstack([on_box, np.array([b.x, b.y, b.z]) + signs * bounds])
+    moved = []
+    for ax in range(3):
+        for to in (-np.inf, np.inf):
+            q = base.copy()
+            q[:, ax] = np.nextafter(q[:, ax], to)
+            moved.append(q)
+    around = np.array([b.x, b.y, b.z]) + rng.uniform(-1.5, 1.5, (200, 3)) * bounds
+    return np.vstack([base] + moved + [around])
+
+
+def test_points_in_box_matches_references_on_planted_boundary_points():
+    rng = np.random.default_rng(16)
+    thetas = [0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4, -3 * math.pi / 4]
+    thetas += list(rng.uniform(-math.pi, math.pi, 40))
+    on_face = 0
+    for theta in thetas:
+        for margin in (0.0, 0.3, 2.0):
+            r, a = rng.uniform(0, 80), rng.uniform(-math.pi, math.pi)
+            b = Box3D(r * math.cos(a), r * math.sin(a), rng.uniform(-3, 3), rng.uniform(0.3, 6),
+                      rng.uniform(0.3, 4), rng.uniform(0.3, 3), theta)
+            pts = planted_points(b, margin, rng)
+            got = geometry.points_in_box(pts, b, margin)
+            ref = reference_points_in_box(pts, b, margin)
+            assert got.tobytes() == ref.tobytes(), (theta, margin)
+            brute = brute_force_points_in_box(pts, b, margin)
+            # the two references round the canonized coordinates differently
+            # (a matmul against Python's per-term products), so on a face
+            # they may disagree, and only within 2 ulps of the face
+            split = np.flatnonzero(ref != brute)
+            local = np.abs(geometry.canonize_points(b, pts[split])[:, :2])
+            face = np.array([b.l / 2 + margin, b.w / 2 + margin])
+            ulps = np.min(np.abs(local - face) / np.spacing(face), axis=1)
+            assert np.all(ulps <= 2.0), ulps
+            assert np.array_equal(got[-200:], brute[-200:])
+            on_face += len(split)
+    assert on_face < 0.05 * len(thetas) * 3 * len(pts)
+
+
 def test_points_in_box_matches_bruteforce():
     rng = np.random.default_rng(6)
     box = Box3D(0.5, -0.5, 0.2, 3, 1.5, 1.2, 0.4)

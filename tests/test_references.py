@@ -10,7 +10,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fastpoint"
 # (module, name) -> why it may have no reference in the package
 ALLOWED = {
     ("selfcheck", "finite_diff_check"): "reference that the gradient tests compare against",
-    ("selfcheck", "brute_force_points_in_box"): "reference that the crop tests compare against",
     ("voxels", "load_grid"): "the reader of the dump_grid format",
     ("pipeline", "proposal_recall"): "quality metric of the benchmark",
     ("pipeline", "mean_matched_iou3d"): "quality metric of the benchmark",
