@@ -299,16 +299,20 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
     return scale.reshape(bshape) * xhat + shift.reshape(bshape)
 
 
-def setnorm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize an (N, C) point set over its own N dimension.
+def setnorm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
+            rows: Tensor | None = None) -> Tensor:
+    """Normalize an (N, C) point set over its own N dimension; given the set's
+    (N, C) rows, normalize x, of shape (M, C), by their moments instead.
 
     The refiner sees one proposal's point set at a time, so batch statistics
     never resemble a running average across proposals; normalizing each set
     by its own moments behaves identically at train and inference time.
     """
-    mu = x.mean(axis=0, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=0, keepdims=True)
+    src = x if rows is None else rows
+    mu = src.mean(axis=0, keepdims=True)
+    dev = src - mu
+    var = (dev * dev).mean(axis=0, keepdims=True)
+    xc = dev if rows is None else x - mu
     xhat = xc * ((var + eps) ** -0.5)
     c = x.shape[1]
     return scale.reshape(1, c) * xhat + shift.reshape(1, c)
@@ -536,6 +540,8 @@ class RefinerConfig:
     corner_template: tuple | None = None
 
     def __post_init__(self):
+        if not self.pointnet:
+            raise ConfigError("the refiner's PointNet needs at least one layer")
         if self.norm not in ("set", "none"):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
         if self.corner_template is not None and len(self.corner_template) != 24:
@@ -581,6 +587,28 @@ class RefinerNet:
         c = x.shape[1]
         return scale.reshape(1, c) * x + shift.reshape(1, c)
 
+    def _pooled(self, h: Tensor, name: str) -> Tensor:
+        """The last PointNet layer and the max-pool over points: the (1, C) max
+        over the rows of relu(norm(h @ w + b)), computed on one row.
+
+        Each channel is monotone in h @ w, rising where its norm scale is >= 0
+        and falling where it is < 0, and rounding keeps that order. Negating a
+        falling channel's w, b and scale is exact and makes it rising, so the
+        pool takes each channel's largest entry of h @ (w * sign), and bias,
+        norm and ReLU run on that row alone. The set norm still takes its
+        moments over every row.
+        """
+        scale, shift = self._p(name + "/bn/scale"), self._p(name + "/bn/shift")
+        sign = np.where(scale.data >= 0, 1.0, -1.0)
+        z = h @ (self._p(name + "/w") * sign)
+        top = z.max(axis=0).reshape(1, z.shape[1])
+        if self.cfg.norm == "set":
+            # the bias shifts the rows and their mean alike, so it cancels
+            return ad.relu(setnorm(top, scale * sign, shift, rows=z))
+        c = z.shape[1]
+        x = top + self._p(name + "/b") * sign
+        return ad.relu((scale * sign).reshape(1, c) * x + shift.reshape(1, c))
+
     def forward(self, coords: np.ndarray, feats: np.ndarray, train: bool = False) -> Tensor:
         """coords: (N, 3) canonized; feats: (N, C_F). Returns the 24-vector
         corner prediction."""
@@ -596,10 +624,11 @@ class RefinerNet:
         f = Tensor(np.asarray(feats, dtype=np.float64))
         fused = ad.concat([c, f], axis=1)
         h = fused * ad.sigmoid(linear(f, self._p("refiner/att/w"), self._p("refiner/att/b")))
-        for i in range(len(cfg.pointnet)):
+        last = len(cfg.pointnet) - 1
+        for i in range(last):
             h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
             h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))
-        g = h.max(axis=0).reshape(1, h.shape[1])
+        g = self._pooled(h, f"refiner/pn{last}")
         for i in range(len(cfg.head)):
             g = ad.relu(linear(g, self._p(f"refiner/head{i}/w"), self._p(f"refiner/head{i}/b")))
         return linear(g, self._p("refiner/out/w"), self._p("refiner/out/b")).reshape(-1)

@@ -535,6 +535,111 @@ def ref_cfg(**kw):
     return RefinerConfig(**base)
 
 
+def reference_forward(net, coords, feats, train=False):
+    """Reference for RefinerNet.forward, with feats as one row per point: the
+    gate is computed on every point's row, and every PointNet layer runs on
+    every point before the max-pool."""
+    p = net.params.tensors
+
+    def norm(x, name):
+        if net.cfg.norm == "set":
+            return setnorm(x, p[name + "/scale"], p[name + "/shift"])
+        c = x.shape[1]
+        return p[name + "/scale"].reshape(1, c) * x + p[name + "/shift"].reshape(1, c)
+
+    c = linear(Tensor(np.asarray(coords, dtype=np.float64)),
+               p["refiner/coord/w"], p["refiner/coord/b"])
+    c = ad.relu(norm(c, "refiner/coord/bn"))
+    f = Tensor(np.asarray(feats, dtype=np.float64))
+    h = ad.concat([c, f], axis=1) * ad.sigmoid(linear(f, p["refiner/att/w"], p["refiner/att/b"]))
+    for i in range(len(net.cfg.pointnet)):
+        h = linear(h, p[f"refiner/pn{i}/w"], p[f"refiner/pn{i}/b"])
+        h = ad.relu(norm(h, f"refiner/pn{i}/bn"))
+    g = h.max(axis=0).reshape(1, h.shape[1])
+    for i in range(len(net.cfg.head)):
+        g = ad.relu(linear(g, p[f"refiner/head{i}/w"], p[f"refiner/head{i}/b"]))
+    return linear(g, p["refiner/out/w"], p["refiner/out/b"]).reshape(-1)
+
+
+def cell_forward(net, coords, feats, cells, train=False):
+    """RefinerNet.forward on points whose feature row is feats[cells]."""
+    return net.forward(coords, feats[cells], train=train)
+
+
+def refiner_cases(rng):
+    """(name, coords, cell feature rows, per-point cell index) inputs."""
+    def points(n, k, cells=None):
+        cells = rng.integers(0, k, n) if cells is None else cells
+        return rng.normal(size=(n, 3)), rng.normal(size=(k, 6)), cells
+
+    tied = points(6, 3)
+    yield "random", *points(40, 7)
+    yield "one point", *points(1, 1)
+    yield "one cell", *points(30, 1)
+    yield "own cells", *points(30, 30, np.arange(30))
+    yield "tied maxima", np.tile(tied[0], (5, 1)), tied[1], np.tile(tied[2], 5)
+
+
+def refiner_variants(norm):
+    """Seeded nets, then with signed and zero norm scales, then with channels
+    of the last PointNet layer that the ReLU cuts off on every point."""
+    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    yield "seeded", net
+    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    rng = np.random.default_rng(21)
+    for name, t in net.params.tensors.items():
+        if name.endswith("/scale"):
+            t.data[:] = rng.choice([-1.5, -0.5, 0.0, 0.7, 2.0], size=t.data.shape)
+        elif name.endswith("/shift"):
+            t.data[:] = rng.normal(size=t.data.shape)
+    yield "signed scales", net
+    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    last = f"refiner/pn{len(net.cfg.pointnet) - 1}"
+    w = net.params.tensors[last + "/w"].data
+    w[:, ::3] = -np.abs(w[:, ::3])                      # h >= 0, so h @ w <= 0 there
+    net.params.tensors[last + "/bn/shift"].data[::3] = -50.0
+    net.params.tensors[last + "/bn/scale"].data[1::3] = -1.0
+    yield "dead channels", net
+
+
+@pytest.mark.parametrize("norm", ["none", "set"])
+def test_refiner_forward_matches_reference(norm):
+    rng = np.random.default_rng(20)
+    for variant, net in refiner_variants(norm):
+        for case, coords, feats, cells in refiner_cases(rng):
+            for train in (False, True):
+                got = cell_forward(net, coords, feats, cells, train=train).data
+                want = reference_forward(net, coords, feats[cells], train=train).data
+                if norm == "none":
+                    assert got.tobytes() == want.tobytes(), (variant, case)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max()), \
+                        (variant, case)
+
+
+@pytest.mark.parametrize("norm", ["none", "set"])
+def test_refiner_gradients_match_reference(norm):
+    rng = np.random.default_rng(22)
+    coords, feats, cells = rng.normal(size=(40, 3)), rng.normal(size=(7, 6)), rng.integers(0, 7, 40)
+    target = rng.normal(size=24)
+    for variant, net in refiner_variants(norm):
+        if variant == "signed scales":
+            # a zero scale's gradient is one-sided: kept out, nonzero scales of both signs stay
+            for name, t in net.params.tensors.items():
+                if name.endswith("/scale"):
+                    t.data[t.data == 0.0] = 0.3
+        grads = []
+        for out in (cell_forward(net, coords, feats, cells, train=True),
+                    reference_forward(net, coords, feats[cells], train=True)):
+            net.params.zero_grad()
+            ((out - target) * (out - target)).sum().backward()
+            grads.append({k: np.zeros(t.data.shape) if t.grad is None else t.grad
+                          for k, t in net.params.tensors.items()})
+        for name, want in grads[1].items():
+            err = np.max(np.abs(grads[0][name] - want), initial=0.0)
+            assert err <= 1e-12 * max(1.0, np.abs(want).max()), (variant, name, err)
+
+
 def test_refiner_output_is_24_vector():
     rng = np.random.default_rng(11)
     net = RefinerNet(ref_cfg(), seed=0)
@@ -576,6 +681,8 @@ def test_refiner_rejects_bad_config():
         ref_cfg(norm="batch")
     with pytest.raises(ConfigError):
         ref_cfg(corner_template=(1.0, 2.0))
+    with pytest.raises(ConfigError):
+        ref_cfg(pointnet=())
 
 
 def test_refiner_gradient_finite_difference():
