@@ -337,19 +337,27 @@ def pad(x: Tensor, pad_width) -> Tensor:
     return out
 
 
+def _add_rows(rows: np.ndarray, indices: np.ndarray, size: int, row: tuple) -> np.ndarray:
+    """A zero (size, *row) array into whose row indices[i] the block rows[i]
+    is added; rows is shaped indices.shape + row. Repeated indices add in
+    index order, as np.add.at would, but faster."""
+    width = int(np.prod(row))
+    flat = np.ravel(indices)
+    if row:
+        # row i covers the flat cells indices[i] * width + (0 .. width - 1)
+        flat = (flat[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=size * width).reshape((size,) + row)
+
+
 def take(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather from the flattened tensor; backward scatter-adds."""
+    """Rows indices of x, shaped indices.shape + x.shape[1:] (elements, when
+    x is 1-D). The adjoint of scatter: backward adds each gradient row back
+    into the row it came from."""
     x = as_tensor(x)
-    out = _make((x,), x.data.ravel()[indices])
+    out = _make((x,), x.data[indices])
     if out._parents:
-        shape = x.data.shape
-
-        def bwd(g):
-            # bincount adds in index order, as np.add.at would, but faster
-            gx = np.bincount(indices.ravel(), weights=g.ravel(), minlength=int(np.prod(shape)))
-            return (gx.reshape(shape),)
-
-        out._backward = bwd
+        size, row = x.data.shape[0], x.data.shape[1:]
+        out._backward = lambda g: (_add_rows(g, indices, size, row),)
     return out
 
 
@@ -360,14 +368,7 @@ def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
     backward adds; backward gathers the rows back.
     """
     x = as_tensor(x)
-    row = x.data.shape[1:]
-    width = int(np.prod(row))
-    flat = indices
-    if row:
-        # row i covers the flat cells indices[i] * width + (0 .. width - 1)
-        flat = (np.asarray(indices).reshape(-1, 1) * width + np.arange(width)).ravel()
-    data = np.bincount(flat, weights=x.data.ravel(), minlength=size * width)
-    out = _make((x,), data.reshape((size,) + row))
+    out = _make((x,), _add_rows(x.data, indices, size, x.data.shape[1:]))
     if out._parents:
         out._backward = lambda g: (g[indices],)
     return out

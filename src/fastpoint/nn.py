@@ -13,7 +13,10 @@ three 2D conv blocks, three deconvolution branches fused by channel
 concat, and 1x1 classification / regression heads. The
 refiner is a PointNet over canonized in-box points whose coordinate
 embedding is fused with indexed backbone features through a learned
-sigmoid attention gate.
+sigmoid attention gate. The gate depends on a point's BEV cell alone, so
+it is computed once per cell and gathered per point; the max-pool over
+points comes before the last PointNet layer's bias, norm and ReLU, which
+run on the pooled row only.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
         raise ShapeMismatch(f"kernel {kernel} larger than padded input {spatial}")
     xp = ad.pad(x, ((0, 0),) + tuple((p, p) for p in padding))
     idx, out_spatial = _im2col_indices(cin, xp.shape[1:], tuple(kernel), tuple(stride))
-    cols = ad.take(xp, idx)
+    cols = ad.take(xp.reshape(-1), idx)
     cout = w.shape[0]
     out = w.reshape(cout, -1) @ cols + b.reshape(cout, 1)
     return out.reshape((cout,) + out_spatial)
@@ -235,7 +238,7 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
     col = np.searchsorted(sites, pair_site)
     n, chan, cout = len(sites), np.arange(cin), w.shape[0]
     # feats[voxel, c] goes to im2col row c * K + offset, column col
-    vals = ad.take(feats, (voxel[:, None] * cin + chan).ravel())
+    vals = ad.take(feats, voxel).reshape(-1)
     cols = ad.scatter(vals, ((chan * taps + offset[:, None]) * n + col[:, None]).ravel(),
                       cin * taps * n).reshape(cin * taps, n)
     y = ad.scatter((w.reshape(cout, -1) @ cols).reshape(-1),
@@ -601,29 +604,40 @@ class RefinerNet:
         scale, shift = self._p(name + "/bn/scale"), self._p(name + "/bn/shift")
         sign = np.where(scale.data >= 0, 1.0, -1.0)
         z = h @ (self._p(name + "/w") * sign)
-        top = z.max(axis=0).reshape(1, z.shape[1])
+        c = z.shape[1]
+        top = z.max(axis=0).reshape(1, c)
         if self.cfg.norm == "set":
             # the bias shifts the rows and their mean alike, so it cancels
             return ad.relu(setnorm(top, scale * sign, shift, rows=z))
-        c = z.shape[1]
         x = top + self._p(name + "/b") * sign
         return ad.relu((scale * sign).reshape(1, c) * x + shift.reshape(1, c))
 
-    def forward(self, coords: np.ndarray, feats: np.ndarray, train: bool = False) -> Tensor:
-        """coords: (N, 3) canonized; feats: (N, C_F). Returns the 24-vector
+    def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray,
+                train: bool = False) -> Tensor:
+        """coords: (N, 3) canonized; feats: (K, C_F), one row per BEV cell;
+        cells: (N,) integer row of feats of each point. Returns the 24-vector
         corner prediction."""
         cfg = self.cfg
         n = len(coords)
         if n == 0:
             raise EmptyProposal("proposal contains no points")
-        if feats.shape != (n, cfg.feature_channels):
-            raise ShapeMismatch(f"features {feats.shape} vs (N, {cfg.feature_channels})")
+        feats, cells = np.asarray(feats, dtype=np.float64), np.asarray(cells)
+        if feats.ndim != 2 or feats.shape[1] != cfg.feature_channels:
+            raise ShapeMismatch(f"features {feats.shape} vs (K, {cfg.feature_channels})")
+        if cells.shape != (n,) or not np.issubdtype(cells.dtype, np.integer):
+            raise ShapeMismatch(f"cells {cells.shape} of {cells.dtype}: need {n} integer rows")
+        if cells.min() < 0 or cells.max() >= len(feats):
+            raise ShapeMismatch(f"cells index outside the {len(feats)} feature rows")
         c = linear(Tensor(np.asarray(coords, dtype=np.float64)),
                    self._p("refiner/coord/w"), self._p("refiner/coord/b"))
         c = ad.relu(self._norm(c, "refiner/coord/bn"))
-        f = Tensor(np.asarray(feats, dtype=np.float64))
-        fused = ad.concat([c, f], axis=1)
-        h = fused * ad.sigmoid(linear(f, self._p("refiner/att/w"), self._p("refiner/att/b")))
+        # the gate reads the cell's features alone: one row per cell, gathered
+        # per point. numpy multiplies a lone row by gemv, which rounds unlike
+        # gemm on several rows, so one cell shared by several points is
+        # doubled to be rounded as each point's row would be
+        rows = feats if len(feats) > 1 or n == 1 else np.repeat(feats, 2, axis=0)
+        gate = ad.sigmoid(linear(Tensor(rows), self._p("refiner/att/w"), self._p("refiner/att/b")))
+        h = ad.concat([c, Tensor(feats[cells])], axis=1) * ad.take(gate, cells)
         last = len(cfg.pointnet) - 1
         for i in range(last):
             h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))

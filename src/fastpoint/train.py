@@ -227,7 +227,7 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
             refiner.params.zero_grad()
             frame_loss = None
             for bf, target in samples:
-                pred = refiner.forward(bf.coords, bf.feats, train=True)
+                pred = refiner.forward(bf.coords, bf.feats, bf.cells, train=True)
                 term = losses.corner_loss(pred, target, cfg.loss.sigma)
                 frame_loss = term if frame_loss is None else frame_loss + term
             frame_loss = frame_loss * (1.0 / len(samples))

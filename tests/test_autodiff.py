@@ -129,7 +129,7 @@ def test_take_backward_byte_equal_to_add_at_on_repeated_indices():
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     idx = rng.integers(0, 15, size=(40, 30))        # many repeats; cells 15..19 never read
     g = rng.normal(size=idx.shape) * 10.0 ** rng.integers(-8, 8, size=idx.shape)
-    (ad.take(x, idx) * Tensor(g)).sum().backward()
+    (ad.take(x.reshape(-1), idx) * Tensor(g)).sum().backward()
     want = np.zeros(20)
     np.add.at(want, idx.ravel(), g.ravel())
     assert x.grad.tobytes() == want.reshape(4, 5).tobytes()
@@ -145,6 +145,21 @@ def test_max_gradient_goes_to_first_argmax_along_any_axis():
     want[0, :, 2] = 0.0
     want[1, :, 2] = 1.0
     assert np.array_equal(x.grad, want)
+
+
+def test_take_gathers_rows_and_backward_adds_them():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    idx = np.array([[2, 0, 2], [3, 2, 2]])          # row 1 never read, row 2 four times
+    out = ad.take(x, idx)
+    assert out.data.tobytes() == x.data[idx].tobytes() and out.shape == (2, 3, 3)
+    g = rng.normal(size=(2, 3, 3)) * 10.0 ** rng.integers(-8, 8, size=(2, 3, 3))
+    (out * Tensor(g)).sum().backward()
+    want = np.zeros((4, 3))
+    np.add.at(want, idx.ravel(), g.reshape(-1, 3))
+    assert x.grad.tobytes() == want.tobytes()
+    r = rng.normal(size=(2, 3, 3))
+    check_op(lambda ts: ((ad.take(ts[0], idx) * r) ** 2).sum(), [(4, 3)])
 
 
 def test_scatter_places_rows_and_backward_gathers():

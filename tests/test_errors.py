@@ -31,7 +31,7 @@ def test_empty_proposal_is_one_class():
     refiner = nn.RefinerNet(nn.RefinerConfig(feature_channels=2, coord_dim=4,
                                              pointnet=(4,), head=(4,)), seed=0)
     with pytest.raises(EmptyProposal):
-        refiner.forward(np.zeros((0, 3)), np.zeros((0, 2)))
+        refiner.forward(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0, dtype=int))
     spec = VoxelSpec(((0.0, 8.0), (-4.0, 4.0), (-3.0, 1.0)), (0.2, 0.2, 0.2), 6)
     with pytest.raises(EmptyProposal):
         build_box_feature(PointCloud(np.array([[5.0, 3.0, 0.0, 0.0]])), np.ones((2, 4, 4)),

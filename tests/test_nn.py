@@ -563,7 +563,7 @@ def reference_forward(net, coords, feats, train=False):
 
 def cell_forward(net, coords, feats, cells, train=False):
     """RefinerNet.forward on points whose feature row is feats[cells]."""
-    return net.forward(coords, feats[cells], train=train)
+    return net.forward(coords, feats, cells, train=train)
 
 
 def refiner_cases(rng):
@@ -643,31 +643,43 @@ def test_refiner_gradients_match_reference(norm):
 def test_refiner_output_is_24_vector():
     rng = np.random.default_rng(11)
     net = RefinerNet(ref_cfg(), seed=0)
-    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), train=False)
+    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(9, 6)), rng.integers(0, 9, 40),
+                      train=False)
     assert out.shape == (24,)
 
 
 def test_refiner_permutation_invariant():
     rng = np.random.default_rng(12)
     coords = rng.normal(size=(30, 3))
-    feats = rng.normal(size=(30, 6))
+    feats = rng.normal(size=(8, 6))
+    cells = rng.integers(0, 8, 30)
     net = RefinerNet(ref_cfg(), seed=0)
-    a = net.forward(coords, feats, train=False).data
-    perm = rng.permutation(30)
-    b = net.forward(coords[perm], feats[perm], train=False).data
+    a = net.forward(coords, feats, cells, train=False).data
+    perm, rows = rng.permutation(30), rng.permutation(8)
+    b = net.forward(coords[perm], feats[rows], np.argsort(rows)[cells[perm]], train=False).data
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_refiner_empty_proposal_raises():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(EmptyProposal):
-        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), train=False)
+        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0, dtype=int), train=False)
 
 
 def test_refiner_feature_shape_mismatch():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), train=False)
+        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), np.arange(5), train=False)
+
+
+@pytest.mark.parametrize("cells", [np.zeros(4, dtype=int), np.zeros(6, dtype=int),
+                                   np.array([0, 1, 2, 3, 1]), np.array([0, -1, 0, 0, 0]),
+                                   np.zeros(5), np.zeros(5, dtype=bool), np.zeros((5, 1), dtype=int)],
+                         ids=["short", "long", "past the rows", "negative", "float", "bool", "2-d"])
+def test_refiner_rejects_bad_cells(cells):
+    net = RefinerNet(ref_cfg(), seed=0)
+    with pytest.raises(ShapeMismatch):
+        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), cells, train=False)
 
 
 def test_refiner_corner_template_sets_initial_bias():
@@ -689,11 +701,12 @@ def test_refiner_gradient_finite_difference():
     rng = np.random.default_rng(15)
     coords = rng.normal(size=(15, 3))
     feats = rng.normal(size=(15, 6))
+    cells = np.arange(15) % 4            # points share cells, so gate gradients add
     net = RefinerNet(ref_cfg(), seed=0)
     target = rng.normal(size=24)
 
     def make_loss():
-        diff = net.forward(coords, feats, train=True) - target
+        diff = net.forward(coords, feats, cells, train=True) - target
         return (diff * diff).sum()
 
     params = [net.params.tensors[n] for n in net.params.names()]

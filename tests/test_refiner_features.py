@@ -4,8 +4,7 @@ import pytest
 from fastpoint.geometry import Box3D
 from fastpoint.errors import EmptyProposal
 from fastpoint.kitti import PointCloud
-from fastpoint.refiner_features import (BoxFeature, build_box_feature, crop_points,
-                                        lookup_features)
+from fastpoint.refiner_features import BoxFeature, build_box_feature, cell_index, crop_points
 from fastpoint.voxels import VoxelSpec
 
 
@@ -19,8 +18,8 @@ def cloud(*rows):
 
 
 def lookup_feature(point_xy, feature_map, world_extent, world_origin):
-    """Reference for lookup_features: the feature of the one BEV cell that
-    contains (x, y), indices clamped to the map."""
+    """Reference for one point's feature row: the feature of the one BEV cell
+    that contains (x, y), indices clamped to the map."""
     c_f, l_f, w_f = feature_map.shape
     x = point_xy[0] - world_origin[0]
     y = point_xy[1] - world_origin[1]
@@ -51,30 +50,50 @@ def test_crop_rejects_negative_margin():
         crop_points(cloud([0, 0, 0, 0]), Box3D(0, 0, 0, 1, 1, 1, 0), margin=-0.1)
 
 
-def test_lookup_feature_cell_indexing():
+def lookup_features(points_xy, feature_map, world_extent, world_origin):
+    """Reference for feats[cells]: each point's own feature row, (N, C_F)."""
+    c_f, l_f, w_f = feature_map.shape
+    rel = np.asarray(points_xy, dtype=np.float64) - np.asarray(world_origin, dtype=np.float64)
+    ix = np.clip(np.floor(rel[:, 0] * l_f / world_extent[0]).astype(np.int64), 0, l_f - 1)
+    iy = np.clip(np.floor(rel[:, 1] * w_f / world_extent[1]).astype(np.int64), 0, w_f - 1)
+    return feature_map[:, ix, iy].T
+
+
+def test_cell_index_of_a_point():
     # 70.4 m extent over 176 cells: x = 35.2 m lands in cell 88
-    fmap = np.zeros((2, 176, 200))
-    fmap[:, 88, 100] = [3.0, 4.0]
-    got = lookup_features(np.array([[35.2, 0.0]]), fmap, world_extent=(70.4, 80.0),
-                          world_origin=(0.0, -40.0))
-    assert np.allclose(got, [[3.0, 4.0]])
+    got = cell_index(np.array([[35.2, 0.0]]), (176, 200), world_extent=(70.4, 80.0),
+                     world_origin=(0.0, -40.0))
+    assert got.tolist() == [88 * 200 + 100]
 
 
-def test_lookup_feature_clamps_to_edges():
-    fmap = np.arange(12, dtype=float).reshape(1, 3, 4)
-    lo, hi = lookup_features(np.array([[-5.0, -5.0], [99.0, 99.0]]), fmap,
-                             (3.0, 4.0), (0.0, 0.0))
-    assert lo[0] == fmap[0, 0, 0]
-    assert hi[0] == fmap[0, 2, 3]
+def test_cell_index_clamps_to_edges():
+    got = cell_index(np.array([[-5.0, -5.0], [99.0, 99.0]]), (3, 4), (3.0, 4.0), (0.0, 0.0))
+    assert got.tolist() == [0, 2 * 4 + 3]
 
 
-def test_lookup_features_matches_scalar():
+def test_cell_index_matches_scalar_lookup():
     rng = np.random.default_rng(0)
     fmap = rng.normal(size=(5, 8, 6))
-    pts = rng.uniform([0, 0], [16.0, 12.0], size=(40, 2))
-    batch = lookup_features(pts, fmap, (16.0, 12.0), (0.0, 0.0))
+    pts = rng.uniform([-2.0, -2.0], [18.0, 14.0], size=(40, 2))
+    cells = cell_index(pts, (8, 6), (16.0, 12.0), (0.0, 0.0))
     for i in range(40):
-        assert np.allclose(batch[i], lookup_feature(pts[i], fmap, (16.0, 12.0), (0.0, 0.0)))
+        want = lookup_feature(pts[i], fmap, (16.0, 12.0), (0.0, 0.0))
+        assert fmap.reshape(5, -1)[:, cells[i]].tobytes() == want.tobytes()
+
+
+def test_build_box_feature_holds_one_row_per_distinct_cell():
+    rng = np.random.default_rng(1)
+    fmap = rng.normal(size=(4, 8, 8))
+    pc = PointCloud(np.column_stack([rng.uniform(0.0, 8.0, (300, 2)),
+                                     rng.uniform(-1.0, 1.0, (300, 2))]))
+    sp = spec((0.0, 8.0), (0.0, 8.0))
+    bf = build_box_feature(pc, fmap, Box3D(4.0, 4.0, 0.0, 3.0, 2.0, 2.0, 0.7), sp, 0.3)
+    pts = crop_points(pc, Box3D(4.0, 4.0, 0.0, 3.0, 2.0, 2.0, 0.7), 0.3)
+    want = lookup_features(pts[:, :2], fmap, (8.0, 8.0), (0.0, 0.0))
+    assert bf.feats[bf.cells].tobytes() == want.tobytes()
+    assert bf.cells.shape == (len(pts),) and bf.feats.shape[1] == 4
+    assert len(np.unique(want, axis=0)) == len(bf.feats) < len(pts)
+    assert np.array_equal(np.unique(bf.cells), np.arange(len(bf.feats)))
 
 
 def test_build_box_feature_canonizes_coords():
@@ -83,7 +102,7 @@ def test_build_box_feature_canonizes_coords():
     fmap = np.ones((3, 4, 4))
     bf = build_box_feature(pc, fmap, box, spec((0.0, 8.0), (-4.0, 4.0)), 0.3)
     assert isinstance(bf, BoxFeature)
-    assert bf.coords.shape == (2, 3) and bf.feats.shape == (2, 3)
+    assert bf.coords.shape == (2, 3) and bf.feats[bf.cells].shape == (2, 3)
     assert np.allclose(bf.coords[0], [0, 0, 0], atol=1e-12)
     # +y world offset appears along the proposal's rotated x axis
     assert np.allclose(bf.coords[1], [0.5, 0.0, 0.2], atol=1e-12)
@@ -104,7 +123,7 @@ def test_feature_lookup_uses_world_position_of_points():
     pc = cloud([0.5, 0.5, 0, 0], [3.5, 3.5, 0, 0])
     box = Box3D(2, 2, 0, 6, 6, 2, 0)
     bf = build_box_feature(pc, fmap, box, spec((0.0, 4.0), (0.0, 4.0)), 0.3)
-    assert bf.feats[:, 0].tolist() == [1.0, 2.0]
+    assert bf.feats[bf.cells, 0].tolist() == [1.0, 2.0]
 
 
 def test_build_box_feature_maps_the_voxel_range_onto_the_feature_map():
@@ -113,4 +132,4 @@ def test_build_box_feature_maps_the_voxel_range_onto_the_feature_map():
     pc = cloud([10.5, -5.5, 0, 0], [17.5, 1.5, 0, 0], [13.0, -1.0, 0, 0])
     bf = build_box_feature(pc, fmap, Box3D(14, -2, 0, 10, 10, 2, 0),
                            spec((10.0, 18.0), (-6.0, 2.0)), 0.3)
-    assert bf.feats[:, 0].tolist() == [fmap[0, 0, 0], fmap[0, 3, 3], fmap[0, 1, 2]]
+    assert bf.feats[bf.cells, 0].tolist() == [fmap[0, 0, 0], fmap[0, 3, 3], fmap[0, 1, 2]]
