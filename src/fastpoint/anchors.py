@@ -21,8 +21,9 @@ POSITIVE = 1
 NEGATIVE = -1
 IGNORE = 0
 
-# decoded sizes grow at most 1000/16-fold over the anchor's (the clip of
-# Faster R-CNN's box decoder); unclamped, a log-size delta past ~710 gives inf
+# decoded sizes grow or shrink at most 1000/16-fold against the anchor's (the
+# clip of Faster R-CNN's box decoder, made symmetric); unclamped, a log-size
+# delta past ~710 gives inf, and one below ~-745 gives a size of 0
 MAX_LOG_SIZE_DELTA = math.log(1000.0 / 16)
 
 
@@ -171,13 +172,14 @@ def encode_rpn(gt: Box3D, anchor: Box3D, d_a: float) -> np.ndarray:
 
 def decode_rpn(deltas: np.ndarray, boxes: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """(N, 7) box rows from (N, 7) encode_rpn deltas against (N, 7) anchor
-    rows with (N,) BEV diagonals; log-size deltas are clamped at
-    MAX_LOG_SIZE_DELTA and theta is normalized as a Box3D holds it."""
+    rows with (N,) BEV diagonals; log-size deltas are clamped to
+    +-MAX_LOG_SIZE_DELTA, so a finite delta decodes to a finite, positive
+    size, and theta is normalized as a Box3D holds it."""
     out = np.empty_like(boxes)
     out[:, 0] = boxes[:, 0] + deltas[:, 0] * diag
     out[:, 1] = boxes[:, 1] + deltas[:, 1] * diag
     out[:, 2] = boxes[:, 2] + deltas[:, 2] * boxes[:, 5]
-    dh, dw, dl = np.minimum(deltas[:, 3:6], MAX_LOG_SIZE_DELTA).T
+    dh, dw, dl = np.clip(deltas[:, 3:6], -MAX_LOG_SIZE_DELTA, MAX_LOG_SIZE_DELTA).T
     out[:, 5] = boxes[:, 5] * np.exp(dh)
     out[:, 4] = boxes[:, 4] * np.exp(dw)
     out[:, 3] = boxes[:, 3] * np.exp(dl)

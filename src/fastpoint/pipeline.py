@@ -31,15 +31,14 @@ class FrameResult:
 
 def select_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchor_set: AnchorSet,
                      post: PostParams) -> list:
-    """First-stage maps -> decoded detections above post.score_thresh ->
-    rotated NMS -> the top post.top_k, in descending score order. Training
-    and inference both pick the refiner's proposals here."""
-    dets = decode_detections(cls_map, reg_map, anchor_set, post.score_thresh)
-    if not dets:
-        return []
-    kept = nms_rotated([d.box for d in dets], np.array([d.score for d in dets]),
-                       post.nms_iou)
-    return [dets[i] for i in kept[:post.top_k]]
+    """First-stage maps -> decoded (N, 8) box rows above post.score_thresh ->
+    rotated NMS on their BEV rows -> Detections of the top post.top_k, in
+    descending score order. Training and inference both pick the refiner's
+    proposals here."""
+    cand = decode_detections(cls_map, reg_map, anchor_set, post.score_thresh)
+    kept = nms_rotated(cand[:, [0, 1, 3, 4, 6]], cand[:, 7], post.nms_iou)
+    return [Detection(geometry.Box3D.from_array(cand[i, :7]), float(cand[i, 7]))
+            for i in kept[:post.top_k]]
 
 
 def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,

@@ -29,20 +29,20 @@ class Detection:
     cls: str = "Car"
 
 
-def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
-    """Greedy descending-score suppression with BEV IoU; ties broken by index.
-
-    boxes may be BoxBEV or Box3D (projected). Returns kept indices in
+def nms_rotated(rows: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
+    """Greedy descending-score suppression of (N, 5) BEV rows (x, y, l, w,
+    theta) by their IoU; ties broken by index. Returns kept indices in
     descending score order.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError("iou_thresh must be in [0, 1]")
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[1] != 5:
+        raise ShapeMismatch(f"NMS takes (N, 5) BEV rows, got {getattr(rows, 'shape', type(rows))}")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(boxes),):
-        raise ShapeMismatch(f"{len(boxes)} boxes but scores of shape {scores.shape}")
+    if scores.shape != (len(rows),):
+        raise ShapeMismatch(f"{len(rows)} boxes but scores of shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    rows = geometry.bev_rows(boxes)
     order = np.argsort(-scores, kind="stable")
     kept = []
     suppressed = np.zeros(len(rows), dtype=bool)
@@ -60,10 +60,13 @@ def nms_rotated(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
 
 
 def decode_detections(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorSet,
-                      score_thresh: float) -> list:
-    """Per-anchor decode of head maps into scored boxes, sorted by score.
+                      score_thresh: float) -> np.ndarray:
+    """Per-anchor decode of head maps into (N, 8) rows (x, y, z, l, w, h,
+    theta, score) of the anchors scoring at least score_thresh, by
+    descending score (ties in anchor order).
 
-    cls_map: (H_f, W_f, A) probabilities; reg_map: (H_f, W_f, A, 7).
+    cls_map: (H_f, W_f, A) probabilities; reg_map: (H_f, W_f, A, 7). Raises
+    ValueError naming the first anchor whose score or deltas are not finite.
     """
     n = len(anchors)
     probs = np.asarray(cls_map, dtype=np.float64).reshape(-1)
@@ -71,12 +74,14 @@ def decode_detections(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorS
     if probs.shape[0] != n or deltas.shape[0] != n:
         raise ShapeMismatch(
             f"maps decode to {probs.shape[0]}/{deltas.shape[0]} anchors, grid has {n}")
+    bad = np.flatnonzero(~(np.isfinite(probs) & np.all(np.isfinite(deltas), axis=1)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"anchor {i}: non-finite score {probs[i]} or deltas {deltas[i]}")
     keep = np.where(probs >= score_thresh)[0]
-    if len(keep) == 0:
-        return []
     decoded = decode_rpn(deltas[keep], anchors.boxes[keep], anchors.diag[keep])
     order = np.argsort(-probs[keep], kind="stable")
-    return [Detection(Box3D.from_array(decoded[i]), float(probs[keep[i]])) for i in order]
+    return np.column_stack([decoded[order], probs[keep[order]]])
 
 
 def corners_to_box(corners: np.ndarray) -> Box3D:

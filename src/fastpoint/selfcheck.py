@@ -174,7 +174,7 @@ def run_selftest(quick: bool = True, report=print) -> bool:
         rng = np.random.default_rng(2)
         boxes = [random_bev_box(rng, 5.0) for _ in range(60)]
         scores = rng.uniform(0, 1, 60)
-        got = postprocess.nms_rotated(boxes, scores, 0.3)
+        got = postprocess.nms_rotated(geometry.bev_rows(boxes), scores, 0.3)
         ref = brute_force_nms(boxes, scores, 0.3)
         assert got == ref, "kept sets differ"
 

@@ -21,7 +21,8 @@ def grid():
 def decode_rpn_scalar(delta: np.ndarray, anchor: Box3D, d_a: float) -> Box3D:
     """Reference decode of one delta, written out field by field."""
     dx, dy, dz, dh, dw, dl, dt = (float(v) for v in delta)
-    dh, dw, dl = (min(v, A.MAX_LOG_SIZE_DELTA) for v in (dh, dw, dl))
+    dh, dw, dl = (min(max(v, -A.MAX_LOG_SIZE_DELTA), A.MAX_LOG_SIZE_DELTA)
+                  for v in (dh, dw, dl))
     return Box3D(anchor.x + dx * d_a, anchor.y + dy * d_a, anchor.z + dz * anchor.h,
                  anchor.l * math.exp(dl), anchor.w * math.exp(dw), anchor.h * math.exp(dh),
                  geometry.normalize_angle(anchor.theta + dt))
@@ -150,6 +151,15 @@ def test_decode_clamps_large_log_size_deltas():
     assert np.allclose(out[:, 5], anchors.boxes[:, 5] * 1000.0 / 16)   # h clamped
     assert np.allclose(out[:, 4], anchors.boxes[:, 4] * math.exp(4.0))  # w below the clamp
     assert np.allclose(out[:, 3], anchors.boxes[:, 3] * math.exp(-3.0))
+    dec = decode_rpn_scalar(deltas[0], Box3D.from_array(anchors.boxes[0]),
+                            float(anchors.diag[0]))
+    assert np.allclose(dec.as_array(), out[0], atol=1e-12)
+    # unclamped, exp(-800) is 0 and the box would have no size
+    deltas[:, 3:6] = [-800.0, -4.0, 3.0]
+    out = A.decode_rpn(deltas, anchors.boxes, anchors.diag)
+    assert np.all(np.isfinite(out)) and np.all(out[:, 3:6] > 0)
+    assert np.allclose(out[:, 5], anchors.boxes[:, 5] * 16 / 1000)       # h clamped
+    assert np.allclose(out[:, 4], anchors.boxes[:, 4] * math.exp(-4.0))  # w above the clamp
     dec = decode_rpn_scalar(deltas[0], Box3D.from_array(anchors.boxes[0]),
                             float(anchors.diag[0]))
     assert np.allclose(dec.as_array(), out[0], atol=1e-12)

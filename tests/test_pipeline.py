@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from fastpoint import pipeline, train
+from fastpoint import geometry, pipeline, train
 from fastpoint.anchors import assign_targets, build_anchor_grid
 from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
@@ -206,9 +206,10 @@ def test_pairwise_iou_consumers_pinned():
                   for _ in range(12)]
         scores = np.round(rng.uniform(0, 1, len(boxes)), 1)
         for thresh in (0.0, 0.1, 0.5):
-            digest.update(np.array(nms_rotated(boxes, scores, thresh)).tobytes())
+            digest.update(np.array(nms_rotated(geometry.bev_rows(boxes), scores,
+                                               thresh)).tobytes())
         dets = [Detection(b, float(s)) for b, s in zip(boxes, scores)]
-        kept = nms_rotated(boxes, scores, cfg.post.nms_iou)
+        kept = nms_rotated(geometry.bev_rows(boxes), scores, cfg.post.nms_iou)
         results.append(FrameResult(frame_id, dets, [dets[i] for i in kept]))
         gts[frame_id] = frame_gts
     dets = {r.frame_id: r.detections for r in results}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastpoint import geometry
-from fastpoint.anchors import AnchorSpec, build_anchor_grid, encode_rpn
+from fastpoint.anchors import AnchorSpec, build_anchor_grid, decode_rpn, encode_rpn
 from fastpoint.errors import ShapeMismatch
 from fastpoint.geometry import Box3D, BoxBEV
 from fastpoint.postprocess import (DegenerateCorners, Detection,
@@ -21,13 +21,13 @@ SPEC = AnchorSpec(((3.9, 1.7, 1.56),),
 def test_nms_keeps_highest_of_overlapping_pair():
     boxes = [BoxBEV(0, 0, 4, 2, 0.0), BoxBEV(0.3, 0.1, 4, 2, 0.05),
              BoxBEV(20, 0, 4, 2, 1.0)]
-    kept = nms_rotated(boxes, np.array([0.7, 0.9, 0.5]), iou_thresh=0.1)
+    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.7, 0.9, 0.5]), iou_thresh=0.1)
     assert kept == [1, 2]
 
 
 def test_nms_tie_broken_by_index():
     boxes = [BoxBEV(0, 0, 4, 2, 0), BoxBEV(0, 0, 4, 2, 0)]
-    kept = nms_rotated(boxes, np.array([0.5, 0.5]), iou_thresh=0.3)
+    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.5, 0.5]), iou_thresh=0.3)
     assert kept == [0]
 
 
@@ -35,7 +35,7 @@ def test_nms_threshold_is_strict_inequality():
     # IoU exactly at the threshold is not suppressed
     a, b = BoxBEV(0, 0, 2, 2, 0), BoxBEV(1, 0, 2, 2, 0)
     iou = geometry.iou_bev(a, b)
-    assert nms_rotated([a, b], np.array([0.9, 0.8]), iou) == [0, 1]
+    assert nms_rotated(geometry.bev_rows([a, b]), np.array([0.9, 0.8]), iou) == [0, 1]
 
 
 def test_nms_matches_brute_force_random():
@@ -43,11 +43,12 @@ def test_nms_matches_brute_force_random():
     for trial in range(5):
         boxes = [random_bev_box(rng, 6.0) for _ in range(40)]
         scores = rng.uniform(0, 1, 40)
-        assert nms_rotated(boxes, scores, 0.2) == brute_force_nms(boxes, scores, 0.2)
+        rows = geometry.bev_rows(boxes)
+        assert nms_rotated(rows, scores, 0.2) == brute_force_nms(boxes, scores, 0.2)
         # tied scores, broken by index
         ties = np.round(scores, 1)
         for thresh in (0.0, 0.1, 0.5):
-            assert nms_rotated(boxes, ties, thresh) == brute_force_nms(boxes, ties, thresh)
+            assert nms_rotated(rows, ties, thresh) == brute_force_nms(boxes, ties, thresh)
 
 
 def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
@@ -67,7 +68,7 @@ def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
         return kernel(rows_a, rows_b)
 
     monkeypatch.setattr(geometry, "_iou_bev_pairs", counting)
-    assert nms_rotated(boxes, scores, 0.2) == want
+    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.2) == want
     assert pairs
     for a, b in pairs:
         assert rank[id(a)] < rank[id(b)]
@@ -77,26 +78,32 @@ def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
 
 def test_nms_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        nms_rotated([BoxBEV(0, 0, 1, 1, 0)], np.array([np.nan]), 0.5)
+        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([np.nan]), 0.5)
     with pytest.raises(ValueError):
-        nms_rotated([BoxBEV(0, 0, 1, 1, 0)], np.array([0.5]), 1.5)
+        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([0.5]), 1.5)
 
 
 def test_nms_rejects_more_boxes_than_scores():
     boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(3)]
     with pytest.raises(ShapeMismatch):
-        nms_rotated(boxes, np.array([0.9, 0.8]), 0.5)
+        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8]), 0.5)
 
 
 def test_nms_rejects_more_scores_than_boxes():
     boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(2)]
     with pytest.raises(ShapeMismatch):
-        nms_rotated(boxes, np.array([0.9, 0.8, 0.7]), 0.5)
+        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8, 0.7]), 0.5)
 
 
-def test_nms_accepts_3d_boxes():
+def test_nms_rejects_anything_but_bev_rows():
     boxes = [Box3D(0, 0, 0, 4, 2, 1.5, 0), Box3D(0.1, 0, 0, 4, 2, 1.5, 0)]
-    assert nms_rotated(boxes, np.array([0.4, 0.6]), 0.1) == [1]
+    scores = np.array([0.4, 0.6])
+    for bad in (boxes, [b.bev() for b in boxes], geometry.bev_rows(boxes).tolist(),
+                np.array([b.as_array() for b in boxes]), geometry.bev_rows(boxes)[0], []):
+        with pytest.raises(ShapeMismatch):
+            nms_rotated(bad, scores, 0.1)
+    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.1) == [1]
+    assert nms_rotated(np.zeros((0, 5)), np.zeros(0), 0.1) == []
 
 
 def test_decode_detections_threshold_and_exact_recovery():
@@ -108,30 +115,101 @@ def test_decode_detections_threshold_and_exact_recovery():
     a_box = Box3D.from_array(anchors.boxes[flat_i])
     cls.reshape(-1)[flat_i] = 0.9
     reg.reshape(-1, 7)[flat_i] = encode_rpn(gt, a_box, float(anchors.diag[flat_i]))
-    dets = decode_detections(cls, reg, anchors, score_thresh=0.3)
-    assert len(dets) == 1
-    assert dets[0].score == pytest.approx(0.9)
-    assert np.allclose(dets[0].box.as_array()[:6], gt.as_array()[:6], atol=1e-9)
+    cand = decode_detections(cls, reg, anchors, score_thresh=0.3)
+    assert cand.shape == (1, 8)
+    assert cand[0, 7] == 0.9
+    assert np.allclose(cand[0, :6], gt.as_array()[:6], atol=1e-9)
 
 
 def test_decode_detections_sorted_descending():
     anchors = build_anchor_grid((4, 4), SPEC, WORLD)
     cls = np.zeros((4, 4, 4))
     cls.reshape(-1)[[3, 10, 40]] = [0.5, 0.9, 0.7]
-    dets = decode_detections(cls, np.zeros((4, 4, 4, 7)), anchors, 0.4)
-    assert [d.score for d in dets] == [0.9, 0.7, 0.5]
+    cand = decode_detections(cls, np.zeros((4, 4, 4, 7)), anchors, 0.4)
+    assert cand[:, 7].tolist() == [0.9, 0.7, 0.5]
+    assert cand[:, :7].tobytes() == anchors.boxes[[10, 40, 3]].tobytes()
 
 
 def test_decode_detections_empty_below_threshold():
     anchors = build_anchor_grid((4, 4), SPEC, WORLD)
-    assert decode_detections(np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 7)),
-                             anchors, 0.3) == []
+    cand = decode_detections(np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 7)), anchors, 0.3)
+    assert cand.shape == (0, 8)
 
 
 def test_decode_detections_shape_mismatch():
     anchors = build_anchor_grid((4, 4), SPEC, WORLD)
     with pytest.raises(ShapeMismatch):
         decode_detections(np.zeros((2, 4, 4)), np.zeros((4, 4, 4, 7)), anchors, 0.3)
+
+
+def broken_maps(anchor, column, value):
+    """Toy head maps scoring every anchor 0.5, with one entry of one anchor
+    replaced: column 7 is its score, 0-6 its deltas."""
+    cls = np.full((4, 4, 4), 0.5)
+    reg = np.zeros((4, 4, 4, 7))
+    if column == 7:
+        cls.reshape(-1)[anchor] = value
+    else:
+        reg.reshape(-1, 7)[anchor, column] = value
+    return cls, reg
+
+
+@pytest.mark.parametrize("anchor, column, value", [
+    (9, 0, np.nan),     # x delta
+    (21, 4, np.nan),    # log-size delta
+    (0, 6, np.inf),     # theta delta
+    (63, 7, np.nan),    # score: NaN passes no threshold, yet it is rejected
+], ids=["nan x", "nan log-size", "inf theta", "nan score"])
+def test_decode_detections_rejects_non_finite_maps(anchor, column, value):
+    anchors = build_anchor_grid((4, 4), SPEC, WORLD)
+    with pytest.raises(ValueError, match=f"anchor {anchor}:"):
+        decode_detections(*broken_maps(anchor, column, value), anchors, 0.3)
+
+
+def test_decode_detections_names_the_first_broken_anchor():
+    anchors = build_anchor_grid((4, 4), SPEC, WORLD)
+    cls, reg = broken_maps(40, 7, np.nan)
+    reg.reshape(-1, 7)[12, 2] = -np.inf
+    with pytest.raises(ValueError, match="anchor 12:"):
+        decode_detections(cls, reg, anchors, 0.3)
+
+
+def test_decode_detections_clamps_a_very_negative_log_size_delta():
+    anchors = build_anchor_grid((4, 4), SPEC, WORLD)
+    cand = decode_detections(*broken_maps(5, 3, -800.0), anchors, 0.3)
+    row = cand[5]    # equal scores keep anchor order
+    assert np.all(np.isfinite(cand)) and np.all(cand[:, 3:6] > 0)
+    assert row[5] == pytest.approx(anchors.boxes[5, 5] * 16 / 1000, rel=1e-12)
+    assert Box3D.from_array(row[:7]).h == row[5]
+
+
+def test_decoded_rows_equal_bev_rows_of_their_boxes():
+    # the NMS rows are sliced from the decoded rows; the proposals are Box3Ds
+    # built from them. Both agree to the byte only if every decoded theta is
+    # a fixed point of normalize_angle, as a Box3D holds it.
+    rng = np.random.default_rng(5)
+    n = 20_000
+    boxes = np.column_stack([rng.uniform(-40, 40, (n, 3)), rng.uniform(0.5, 5, (n, 3)),
+                             rng.uniform(-math.pi, math.pi, n)])
+    deltas = rng.normal(scale=0.5, size=(n, 7))
+    deltas[:, 6] = rng.normal(scale=3.0, size=n)
+    # anchor angles and deltas whose float sum lands exactly on +-pi, or on an
+    # odd multiple of it, before the wrap
+    edge = np.array([0.0, math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                     0.3, -2.9, 1e-17])
+    targets = (math.pi, -math.pi, 3 * math.pi, -3 * math.pi)
+    m = len(edge)
+    for k, target in enumerate(targets):
+        boxes[k * m:(k + 1) * m, 6] = edge
+        deltas[k * m:(k + 1) * m, 6] = target - edge
+    sums = boxes[:4 * m, 6] + deltas[:4 * m, 6]
+    assert all(np.any(sums == target) for target in targets)
+    out = decode_rpn(deltas, boxes, np.hypot(boxes[:, 3], boxes[:, 4]))
+    assert np.all(out[:, 6] > -math.pi) and np.all(out[:, 6] <= math.pi)
+    assert all(geometry.normalize_angle(t) == t for t in out[:, 6].tolist())
+    built = [Box3D.from_array(r) for r in out]
+    assert out[:, [0, 1, 3, 4, 6]].tobytes() == geometry.bev_rows(built).tobytes()
+    assert out.tobytes() == np.array([b.as_array() for b in built]).tobytes()
 
 
 def test_corners_to_box_exact_on_cuboid():
