@@ -49,7 +49,6 @@ class PostParams:
     nms_iou: float = 0.1
     top_k: int = 30
     refiner_pos_iou: float = 0.5
-    max_refiner_proposals: int = 64
     crop_margin: float = 0.3
 
 

@@ -22,12 +22,6 @@ class BoxFeature:
     cells: np.ndarray      # (N,) row of feats that holds each point's cell
 
 
-def crop_points(pc: PointCloud, proposal: Box3D, margin: float) -> np.ndarray:
-    """Points within the proposal expanded by margin (meters of context,
-    non-negative); preserves input order."""
-    return pc.points[geometry.points_in_box(pc.points, proposal, margin)]
-
-
 def cell_index(points_xy: np.ndarray, map_dims, world_extent, world_origin) -> np.ndarray:
     """Flat index ix * W_F + iy of the BEV cell of each of (N, 2) points -> (N,).
 
@@ -44,13 +38,15 @@ def cell_index(points_xy: np.ndarray, map_dims, world_extent, world_origin) -> n
 
 def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
                       spec: VoxelSpec, margin: float) -> BoxFeature:
-    """Crop, canonize, and index backbone features: one row per distinct BEV
-    cell, in cell order; raises EmptyProposal when no point survives the crop.
+    """Crop the points within the proposal expanded by margin (meters of
+    context, non-negative; input order kept), canonize them, and index
+    backbone features: one row per distinct BEV cell, in cell order; raises
+    EmptyProposal when no point survives the crop.
 
     feature_map: (C_F, L_F, W_F) with axes (channel, x-cells, y-cells),
     spanning the BEV extent of the voxel grid of spec.
     """
-    pts = crop_points(pc, proposal, margin)
+    pts = pc.points[geometry.points_in_box(pc.points, proposal, margin)]
     if len(pts) == 0:
         raise EmptyProposal("no points within margin of proposal")
     coords = geometry.canonize_points(proposal, pts[:, :3])

@@ -165,10 +165,9 @@ def _refiner_training_pairs(proposals, frame: PreparedFrame, cfg: PipelineConfig
         return []
     iou = geometry.iou_bev_matrix(geometry.bev_rows([det.box for det in proposals]),
                                   geometry.bev_rows(frame.gts))
-    pairs = [(det, frame.gts[g]) for det, g, best in
-             zip(proposals, iou.argmax(axis=1), iou.max(axis=1))
-             if best > cfg.post.refiner_pos_iou]
-    return pairs[:cfg.post.max_refiner_proposals]
+    return [(det, frame.gts[g]) for det, g, best in
+            zip(proposals, iou.argmax(axis=1), iou.max(axis=1))
+            if best > cfg.post.refiner_pos_iou]
 
 
 def _jitter_proposal(gt, rng, min_iou: float):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fastpoint.geometry import Box3D
+from fastpoint.geometry import Box3D, points_in_box
 from fastpoint.errors import EmptyProposal
 from fastpoint.kitti import PointCloud
-from fastpoint.refiner_features import BoxFeature, build_box_feature, cell_index, crop_points
+from fastpoint.refiner_features import BoxFeature, build_box_feature, cell_index
 from fastpoint.voxels import VoxelSpec
 
 
@@ -34,20 +34,21 @@ def test_crop_keeps_interior_and_margin_band():
                [1.2, 0, 0, 0.2],      # inside margin band
                [1.4, 0, 0, 0.3],      # outside margin
                [0, 0, 1.25, 0.4])     # vertical margin band
-    out = crop_points(pc, box, margin=0.3)
-    assert np.allclose(out[:, 3], [0.1, 0.2, 0.4])
+    mask = points_in_box(pc.points, box, margin=0.3)
+    assert np.allclose(pc.points[mask, 3], [0.1, 0.2, 0.4])
 
 
 def test_crop_respects_rotation():
     box = Box3D(0, 0, 0, 4, 1, 1, np.pi / 2)   # long axis along y
     pc = cloud([0, 1.8, 0, 0.1], [1.8, 0, 0, 0.2])
-    out = crop_points(pc, box, margin=0.0)
-    assert np.allclose(out[:, 3], [0.1])
+    mask = points_in_box(pc.points, box, margin=0.0)
+    assert np.allclose(pc.points[mask, 3], [0.1])
 
 
 def test_crop_rejects_negative_margin():
     with pytest.raises(ValueError):
-        crop_points(cloud([0, 0, 0, 0]), Box3D(0, 0, 0, 1, 1, 1, 0), margin=-0.1)
+        build_box_feature(cloud([0, 0, 0, 0]), np.zeros((2, 4, 4)), Box3D(0, 0, 0, 1, 1, 1, 0),
+                          spec((-2.0, 2.0), (-2.0, 2.0)), margin=-0.1)
 
 
 def lookup_features(points_xy, feature_map, world_extent, world_origin):
@@ -88,7 +89,7 @@ def test_build_box_feature_holds_one_row_per_distinct_cell():
                                      rng.uniform(-1.0, 1.0, (300, 2))]))
     sp = spec((0.0, 8.0), (0.0, 8.0))
     bf = build_box_feature(pc, fmap, Box3D(4.0, 4.0, 0.0, 3.0, 2.0, 2.0, 0.7), sp, 0.3)
-    pts = crop_points(pc, Box3D(4.0, 4.0, 0.0, 3.0, 2.0, 2.0, 0.7), 0.3)
+    pts = pc.points[points_in_box(pc.points, Box3D(4.0, 4.0, 0.0, 3.0, 2.0, 2.0, 0.7), 0.3)]
     want = lookup_features(pts[:, :2], fmap, (8.0, 8.0), (0.0, 0.0))
     assert bf.feats[bf.cells].tobytes() == want.tobytes()
     assert bf.cells.shape == (len(pts),) and bf.feats.shape[1] == 4
