@@ -66,7 +66,8 @@ def decode_detections(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorS
     descending score (ties in anchor order).
 
     cls_map: (H_f, W_f, A) probabilities; reg_map: (H_f, W_f, A, 7). Raises
-    ValueError naming the first anchor whose score or deltas are not finite.
+    ValueError naming the first anchor whose score or deltas are not finite,
+    or whose finite deltas decode to a box that is not.
     """
     n = len(anchors)
     probs = np.asarray(cls_map, dtype=np.float64).reshape(-1)
@@ -79,7 +80,13 @@ def decode_detections(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorS
         i = bad[0]
         raise ValueError(f"anchor {i}: non-finite score {probs[i]} or deltas {deltas[i]}")
     keep = np.where(probs >= score_thresh)[0]
-    decoded = decode_rpn(deltas[keep], anchors.boxes[keep], anchors.diag[keep])
+    with np.errstate(over="ignore"):
+        decoded = decode_rpn(deltas[keep], anchors.boxes[keep], anchors.diag[keep])
+    bad = np.flatnonzero(~np.all(np.isfinite(decoded), axis=1))
+    if len(bad):
+        i = keep[bad[0]]
+        raise ValueError(f"anchor {i}: deltas {deltas[i]} decode to non-finite box "
+                         f"{decoded[bad[0]]}")
     order = np.argsort(-probs[keep], kind="stable")
     return np.column_stack([decoded[order], probs[keep[order]]])
 

@@ -34,7 +34,11 @@ class VoxelSpec:
     def __post_init__(self):
         if self.max_points_per_voxel < 1:
             raise ValueError("max_points_per_voxel must be >= 1")
-        for (lo, hi), v in zip(self.axis_range, self.voxel_size):
+        for axis, (lo, hi), v in zip("xyz", self.axis_range, self.voxel_size):
+            if not v > 0:
+                raise ValueError(f"{axis} voxel size {v} must be positive")
+            if not lo < hi:
+                raise ValueError(f"{axis} range ({lo}, {hi}) must have min < max")
             n = (hi - lo) / v
             if abs(n - round(n)) > 1e-6:
                 raise ValueError(f"extent {hi - lo} not divisible by voxel size {v}")
@@ -57,7 +61,6 @@ class VoxelGrid:
     coords: np.ndarray   # (V, 3) int64 voxel indices
     points: np.ndarray   # (V, cap, 4) offsets-from-center + reflectance; spare slots zero
     stored: np.ndarray   # (V,) points kept per voxel, at most cap
-    counts: np.ndarray   # (V,) points per voxel before capping
 
     @property
     def dims(self) -> tuple:
@@ -80,27 +83,26 @@ def voxelize(pc: PointCloud, spec: VoxelSpec, seed: int) -> VoxelGrid:
     idx = np.floor((pts[:, :3] - spec.mins) / vsize).astype(np.int64)
     idx = np.minimum(idx, np.array(spec.dims) - 1)
 
-    # sorted voxel order, input order within a voxel
+    # sort by voxel, then by key: the input index, or in a voxel over the cap a
+    # seeded uniform draw taken in (voxel, coordinates) order, so the kept
+    # subset does not depend on input order; each voxel keeps its first cap
     flat = np.ravel_multi_index(idx.T, spec.dims)
-    order = np.argsort(flat, kind="stable")
-    _, first, counts = np.unique(flat[order], return_index=True, return_counts=True)
+    cap = spec.max_points_per_voxel
+    _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    key = np.arange(len(pts), dtype=np.float64)
+    over = np.flatnonzero(counts[inverse] > cap)
+    over = over[np.lexsort((*pts[over].T, flat[over]))]
+    key[over] = np.random.default_rng(seed).random(len(over))
+    order = np.lexsort((key, flat))
+    first = np.cumsum(counts) - counts
     offsets = pts[order]
     offsets[:, :3] -= spec.mins + (idx[order] + 0.5) * vsize
-    cap = spec.max_points_per_voxel
     rank = np.arange(len(pts)) - np.repeat(first, counts)
     voxel = np.repeat(np.arange(len(counts)), counts)
     points = np.zeros((len(counts), cap, 4))
     fits = rank < cap
     points[voxel[fits], rank[fits]] = offsets[fits]
-
-    # overflowing voxels keep a seeded subset of their points taken in
-    # coordinate-sorted order, so the result is input-order independent
-    rng = np.random.default_rng(seed)
-    for v in np.flatnonzero(counts > cap):
-        rows = slice(first[v], first[v] + counts[v])
-        pick = np.sort(rng.choice(int(counts[v]), size=cap, replace=False))
-        points[v] = offsets[rows][np.lexsort(pts[order[rows]].T)[pick]]
-    return VoxelGrid(spec, idx[order[first]], points, np.minimum(counts, cap), counts)
+    return VoxelGrid(spec, idx[order[first]], points, np.minimum(counts, cap))
 
 
 def to_dense(grid: VoxelGrid) -> np.ndarray:
@@ -136,8 +138,7 @@ def dump_grid(path, grid: VoxelGrid) -> None:
 
 def load_grid(path) -> VoxelGrid:
     """Read a dump_grid file; raises ValueError on a file that is not a
-    whole, consistent dump. The dump keeps no pre-cap count, so a loaded
-    grid's counts equal its stored."""
+    whole, consistent dump."""
     raw = Path(path).read_bytes()
     if raw[:4] != _DUMP_MAGIC:
         raise ValueError("not a voxel grid dump")
@@ -154,8 +155,11 @@ def load_grid(path) -> VoxelGrid:
         if n_rec * 16 > len(raw) - off:      # a record takes at least 16 bytes
             raise ValueError(f"{path}: voxel grid dump is cut short: its header "
                              f"counts {n_rec} voxels")
-        spec = VoxelSpec(tuple((rng_vals[2 * i], rng_vals[2 * i + 1]) for i in range(3)),
-                         tuple(vsize), cap)
+        try:
+            spec = VoxelSpec(tuple((rng_vals[2 * i], rng_vals[2 * i + 1]) for i in range(3)),
+                             tuple(vsize), cap)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         if spec.dims != dims:
             raise ValueError(f"{path}: header dims {dims} disagree with the range and "
                              f"voxel size, which give {spec.dims}")
@@ -163,11 +167,17 @@ def load_grid(path) -> VoxelGrid:
         points = np.zeros((n_rec, cap, 4))
         stored = np.zeros(n_rec, dtype=np.int64)
         for v in range(n_rec):
-            coords[v] = struct.unpack_from("<3I", raw, off); off += 12
+            key = struct.unpack_from("<3I", raw, off); off += 12
             (n,) = struct.unpack_from("<I", raw, off); off += 4
+            if any(k >= d for k, d in zip(key, dims)) or not 1 <= n <= cap:
+                raise ValueError(f"{path}: record {v} holds index {key} and {n} points; "
+                                 f"dims are {dims}, cap is {cap}")
+            coords[v] = key
             points[v, :n] = np.reshape(struct.unpack_from(f"<{n * 4}d", raw, off), (n, 4))
             off += n * 32
             stored[v] = n
     except struct.error:
         raise ValueError(f"{path}: voxel grid dump is cut short") from None
-    return VoxelGrid(spec, coords, points, stored, stored.copy())
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} bytes follow the last of {n_rec} records")
+    return VoxelGrid(spec, coords, points, stored)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,16 @@ def test_decode_detections_names_the_first_broken_anchor():
     reg.reshape(-1, 7)[12, 2] = -np.inf
     with pytest.raises(ValueError, match="anchor 12:"):
         decode_detections(cls, reg, anchors, 0.3)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "y", "z"])
+def test_decode_detections_rejects_a_finite_delta_that_overflows(column):
+    # 1.5e308 times the anchor diagonal (x, y) or height (z) overflows to inf
+    anchors = build_anchor_grid((4, 4), SPEC, WORLD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="anchor 17: .* non-finite box"):
+            decode_detections(*broken_maps(17, column, 1.5e308), anchors, 0.3)
 
 
 def test_decode_detections_clamps_a_very_negative_log_size_delta():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,38 +28,51 @@ def stored_points(grid, key):
 
 
 # ------------------------------------------------- dict reference voxelizer
+def voxel_index(pts, spec):
+    """(N, 3) voxel index of each point, by voxelize's clamped rule."""
+    idx = np.floor((pts[:, :3] - spec.mins) / np.asarray(spec.voxel_size)).astype(np.int64)
+    return np.minimum(idx, np.array(spec.dims) - 1)
+
+
+def precap_counts(pts, spec):
+    """Occupied voxel indices in ascending order, and the points in each
+    before capping."""
+    return np.unique(voxel_index(pts, spec), axis=0, return_counts=True)
+
+
 def reference_voxelize(pts, spec, seed):
-    """The per-point dict voxelizer the sorted-array grid replaced:
-    voxel index -> stored points, voxel index -> pre-cap count."""
+    """Per-voxel dict voxelizer: voxel index -> stored points. A voxel
+    within the cap keeps its points in input order. A voxel over the cap
+    sorts its points by coordinates, gives each a uniform draw (voxels in
+    index order, one seeded stream), and keeps the cap lowest draws."""
     idx = np.floor((pts[:, :3] - spec.mins) / np.asarray(spec.voxel_size)).astype(np.int64)
     order = {}
     for i, key in enumerate(map(tuple, idx)):
         order.setdefault(key, []).append(i)
     rng = np.random.default_rng(seed)
-    stored, counts = {}, {}
+    stored = {}
     cap = spec.max_points_per_voxel
     for key in sorted(order):
-        rows = order[key]
-        counts[key] = len(rows)
-        sel = pts[rows]
-        if len(rows) > cap:
+        sel = pts[order[key]]
+        if len(sel) > cap:
             sel = sel[np.lexsort(sel.T)]
-            sel = sel[np.sort(rng.choice(len(sel), size=cap, replace=False))]
+            draws = [rng.random() for _ in range(len(sel))]
+            sel = sel[np.argsort(draws, kind="stable")[:cap]]
         center = spec.mins + (np.asarray(key) + 0.5) * np.asarray(spec.voxel_size)
         out = sel.copy()
         out[:, :3] = sel[:, :3] - center
         stored[key] = out
-    return stored, counts
+    return stored
 
 
 def assert_matches_reference(grid, pts, spec, seed):
-    ref, ref_counts = reference_voxelize(pts, spec, seed)
+    ref = reference_voxelize(pts, spec, seed)
     assert [tuple(k) for k in grid.coords.tolist()] == list(ref)
     for v, key in enumerate(ref):
         n = grid.stored[v]
+        assert n == len(ref[key])
         assert grid.points[v, :n].tobytes() == ref[key].tobytes()
         assert not np.any(grid.points[v, n:])
-        assert grid.counts[v] == ref_counts[key]
 
 
 def dense_scene():
@@ -78,7 +92,7 @@ def test_voxelize_matches_dict_reference_toy():
 def test_voxelize_matches_dict_reference_overflowing():
     cfg, (_, pc, _) = dense_scene()
     grid = voxelize(pc, cfg.voxel_spec(), seed=3)
-    assert np.sum(grid.counts > grid.spec.max_points_per_voxel) > 100
+    assert np.sum(precap_counts(pc.points, grid.spec)[1] > grid.spec.max_points_per_voxel) > 100
     assert_matches_reference(grid, pc.points, cfg.voxel_spec(), 3)
     rng = np.random.default_rng(12)
     pts = np.hstack([rng.uniform(0.0, 1.999, size=(300, 3)) * [1, 1, 0.5],
@@ -100,6 +114,18 @@ def test_spec_rejects_indivisible_extent():
 def test_spec_rejects_zero_cap():
     with pytest.raises(ValueError):
         VoxelSpec(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (0.5, 0.5, 0.5), 0)
+
+
+@pytest.mark.parametrize("size", [(-0.5, 0.5, 0.5), (0.5, 0.0, 0.5)], ids=["negative", "zero"])
+def test_spec_rejects_non_positive_voxel_size(size):
+    axis = "xyz"[int(np.flatnonzero(np.array(size) <= 0)[0])]
+    with pytest.raises(ValueError, match=f"{axis} voxel size"):
+        VoxelSpec(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), size, 6)
+
+
+def test_spec_rejects_inverted_range():
+    with pytest.raises(ValueError, match=r"z range \(1.0, 0.0\)"):
+        VoxelSpec(((0.0, 1.0), (0.0, 1.0), (1.0, 0.0)), (0.5, 0.5, 0.5), 6)
 
 
 def test_point_to_voxel_index_floor_convention():
@@ -157,7 +183,9 @@ def test_every_cropped_point_is_voxelizable(pts):
     spec = cfg.voxel_spec()
     kept = crop_to_range(PointCloud(pts), np.array(cfg.voxel_range))
     grid = voxelize(kept, spec, seed=0)
-    assert grid.counts.sum() == len(kept)
+    coords, counts = precap_counts(kept.points, spec)
+    assert np.array_equal(grid.coords, coords)
+    assert np.array_equal(grid.stored, np.minimum(counts, spec.max_points_per_voxel))
     assert np.all((grid.coords >= 0) & (grid.coords < np.array(spec.dims)))
     if len(kept) < len(pts):
         with pytest.raises(PointOutOfRange):
@@ -177,9 +205,47 @@ def test_overflow_subsample_is_capped_and_counts_track_precap():
     pts = np.hstack([rng.uniform(0.0, 0.999, size=(10, 3)) * [1, 1, 0.5],
                      rng.uniform(size=(10, 1))])
     grid = voxelize(PointCloud(pts), small_spec(cap=3), seed=7)
-    assert grid.counts.tolist() == [10]
+    assert precap_counts(pts, small_spec())[1].tolist() == [10]
     assert grid.stored.tolist() == [3]
     assert len(stored_points(grid, (0, 0, 0))) == 3
+
+
+def test_overflowing_voxels_keep_cap_distinct_points_of_their_own():
+    cfg, (_, pc, _) = dense_scene()
+    spec = cfg.voxel_spec()
+    cap = spec.max_points_per_voxel
+    pts = pc.points
+    assert len(np.unique(pts, axis=0)) == len(pts)
+    grid = voxelize(pc, spec, seed=3)
+    shuffled = voxelize(PointCloud(pts[np.random.default_rng(0).permutation(len(pts))]),
+                        spec, seed=3)
+    coords, counts = precap_counts(pts, spec)
+    idx = voxel_index(pts, spec)
+    over = np.flatnonzero(counts > cap)
+    assert len(over) > 100 and np.all(grid.stored[over] == cap)
+    for v in over:
+        own = pts[np.all(idx == coords[v], axis=1)].copy()
+        own[:, :3] -= spec.mins + (coords[v] + 0.5) * np.asarray(spec.voxel_size)
+        kept = set(map(tuple, grid.points[v]))
+        assert len(kept) == cap
+        assert kept <= set(map(tuple, own))
+        assert kept == set(map(tuple, shuffled.points[v]))
+
+
+def test_each_point_of_an_overflowing_voxel_is_kept_with_frequency_cap_over_count():
+    # reflectance i / 10 names point i of one 10-point voxel with cap 3
+    rng = np.random.default_rng(8)
+    pts = np.hstack([rng.uniform(0.0, 0.999, size=(10, 3)) * [1, 1, 0.5],
+                     np.arange(10)[:, None] / 10])
+    n_seeds, cap = 4000, 3
+    kept = np.zeros(10)
+    for seed in range(n_seeds):
+        ids = np.rint(voxelize(PointCloud(pts), small_spec(cap), seed).points[0, :, 3] * 10)
+        assert len(set(ids)) == cap
+        kept[ids.astype(int)] += 1
+    share = cap / 10
+    std_err = math.sqrt(share * (1 - share) / n_seeds)
+    assert np.all(np.abs(kept / n_seeds - share) < 4 * std_err)
 
 
 def test_subsample_deterministic_and_seed_sensitive():
@@ -213,7 +279,7 @@ def test_encoder_inputs_are_the_grid_arrays():
                      rng.uniform(size=(40, 1))])
     grid = voxelize(PointCloud(pts), small_spec(cap=3), seed=0)
     assert to_dense(grid).shape == (len(grid.coords), 3, 4)
-    assert np.array_equal(slot_counts(grid), np.minimum(grid.counts, 3))
+    assert np.array_equal(slot_counts(grid), np.minimum(precap_counts(pts, small_spec())[1], 3))
 
 
 def test_empty_cloud_gives_empty_grid():
@@ -245,14 +311,15 @@ def _dump_sha256(grid, tmp_path):
 
 
 def test_dump_bytes_pinned(tmp_path):
-    # digests of the dumps written by the dict-based voxelizer
+    # the toy scene has no voxel over the cap, and its digest is the dict-based
+    # voxelizer's; the dense scene's digest is of the key-per-point subsample
     cfg = toy_config()
     _, pc, _ = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, cfg.seed)[0]
     assert _dump_sha256(voxelize(pc, cfg.voxel_spec(), seed=cfg.seed), tmp_path) == (
         "2b4d94c4d5790bff091583aaef8f0f0c716ddfe744f117e8aca75d64c722bb09")
     cfg, (_, pc, _) = dense_scene()
     assert _dump_sha256(voxelize(pc, cfg.voxel_spec(), seed=3), tmp_path) == (
-        "e611b8702494ef23f0bb4013e5d752acc5afc14a2d01efb1ba5ea1e3687dec46")
+        "e119ced07188a4b61a603a6ce95c419acb37e90a767c017de25609562a8f4e4f")
 
 
 def test_load_rejects_wrong_magic(tmp_path):
@@ -287,4 +354,40 @@ def test_load_rejects_dims_that_disagree_with_range(tmp_path):
     raw[8:12] = (7).to_bytes(4, "little")      # first of the three header dims
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="dims"):
+        load_grid(p)
+
+
+def test_load_names_the_file_when_its_header_spec_is_impossible(tmp_path):
+    p = small_dump(tmp_path)
+    raw = bytearray(p.read_bytes())
+    raw[68:76] = struct.pack("<d", -1.0)       # x voxel size
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="g.voxels: x voxel size -1.0"):
+        load_grid(p)
+
+
+# the first record starts after a 104-byte header: index (3 x u32), then n (u32)
+def test_load_rejects_record_index_outside_dims(tmp_path):
+    p = small_dump(tmp_path)
+    raw = bytearray(p.read_bytes())
+    raw[104:108] = (99).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"g.voxels: record 0 holds index \(99, "):
+        load_grid(p)
+
+
+@pytest.mark.parametrize("n", [0, 5], ids=["empty", "over cap"])
+def test_load_rejects_record_point_count_outside_one_to_cap(tmp_path, n):
+    p = small_dump(tmp_path)
+    raw = bytearray(p.read_bytes())
+    raw[116:120] = n.to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"g.voxels: record 0 .* and {n} points"):
+        load_grid(p)
+
+
+def test_load_rejects_bytes_after_the_last_record(tmp_path):
+    p = small_dump(tmp_path)
+    p.write_bytes(p.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="g.voxels: 8 bytes follow the last"):
         load_grid(p)
