@@ -34,6 +34,10 @@ class AnchorSpec:
     z_center: float
 
     def __post_init__(self):
+        for i, size in enumerate(self.sizes):
+            if len(size) != 3 or not all(0 < s < math.inf for s in size):
+                raise ValueError(f"anchor size {i} {size} must be three finite, positive "
+                                 f"entries (l, w, h)")
         for i, a in enumerate(self.angles):
             for b in self.angles[i + 1:]:
                 if abs(normalize_angle(a - b)) % math.pi < 1e-9:

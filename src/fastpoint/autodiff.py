@@ -30,7 +30,7 @@ class GraphConsumed(RuntimeError):
     """backward() reached a node whose graph an earlier backward freed."""
 
 
-def _consumed(g):
+def _consumed(_g):
     """Stands in for the closure of a node that a backward has consumed."""
     raise GraphConsumed("backward() through a graph that an earlier backward() freed")
 

@@ -40,7 +40,6 @@ class NetParams:
     refiner_coord_dim: int = 128
     refiner_pointnet: tuple = (256, 512)
     refiner_head: tuple = (256,)
-    refiner_norm: str = "set"
 
 
 @dataclass
@@ -121,18 +120,17 @@ class PipelineConfig:
 
         l, w, h = self.anchors.sizes[0]
         template = tuple(corners_3d(Box3D(0.0, 0.0, 0.0, l, w, h, 0.0)).ravel())
-        return RefinerConfig(self.net_config().fused_channels,
+        return RefinerConfig(self.net_config().fused_channels, template,
                              self.net.refiner_coord_dim,
                              tuple(self.net.refiner_pointnet),
-                             tuple(self.net.refiner_head),
-                             self.net.refiner_norm,
-                             template)
+                             tuple(self.net.refiner_head))
 
     def map_dims(self) -> tuple:
         return self.net_config().infer_shapes(self.voxel_spec().dims)["map_dims"]
 
     def validate(self) -> None:
         spec = self.voxel_spec()
+        self.anchors.spec()
         shapes = self.net_config().infer_shapes(spec.dims)
         h_f, w_f = shapes["map_dims"]
         # anchor cells must tile the cropped world exactly
@@ -204,8 +202,7 @@ def toy_config() -> PipelineConfig:
         max_points_per_voxel=6,
         anchors=AnchorParams(sizes=((3.9, 1.7, 1.56),), z_center=-0.85),
         net=NetParams(width_mult=0.25, refiner_coord_dim=32,
-                      refiner_pointnet=(64, 128), refiner_head=(64,),
-                      refiner_norm="none"),
+                      refiner_pointnet=(64, 128), refiner_head=(64,)),
         post=PostParams(score_thresh=0.1),
         train=TrainParams(rpn_epochs=60, rpn_decay_epochs=(45, 54),
                           refiner_epochs=150, refiner_decay_epochs=(110, 135),

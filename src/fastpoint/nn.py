@@ -13,8 +13,10 @@ three 2D conv blocks, three deconvolution branches fused by channel
 concat, and 1x1 classification / regression heads. The
 refiner is a PointNet over canonized in-box points whose coordinate
 embedding is fused with indexed backbone features through a learned
-sigmoid attention gate. The gate depends on a point's BEV cell alone, so
-it is computed once per cell and gathered per point; the max-pool over
+sigmoid attention gate. Each of its layers normalizes by a per-channel
+affine pair (scale and shift, no statistics), so a proposal's absolute
+coordinate scale survives. The gate depends on a point's BEV cell alone,
+so it is computed once per cell and gathered per point; the max-pool over
 points comes before the last PointNet layer's bias, norm and ReLU, which
 run on the pooled row only.
 """
@@ -118,7 +120,7 @@ class _Builder:
         self.params.stats[name + "/var"] = np.ones(n)
 
     def norm(self, name, n):
-        """Affine pair for set normalization (no running statistics)."""
+        """Per-channel affine pair (no running statistics)."""
         self.params.tensors[name + "/scale"] = Tensor(np.ones(n), requires_grad=True)
         self.params.tensors[name + "/shift"] = Tensor(np.zeros(n), requires_grad=True)
 
@@ -302,25 +304,6 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
     return scale.reshape(bshape) * xhat + shift.reshape(bshape)
 
 
-def setnorm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
-            rows: Tensor | None = None) -> Tensor:
-    """Normalize an (N, C) point set over its own N dimension; given the set's
-    (N, C) rows, normalize x, of shape (M, C), by their moments instead.
-
-    The refiner sees one proposal's point set at a time, so batch statistics
-    never resemble a running average across proposals; normalizing each set
-    by its own moments behaves identically at train and inference time.
-    """
-    src = x if rows is None else rows
-    mu = src.mean(axis=0, keepdims=True)
-    dev = src - mu
-    var = (dev * dev).mean(axis=0, keepdims=True)
-    xc = dev if rows is None else x - mu
-    xhat = xc * ((var + eps) ** -0.5)
-    c = x.shape[1]
-    return scale.reshape(1, c) * xhat + shift.reshape(1, c)
-
-
 # ------------------------------------------------------------------ config
 @dataclass(frozen=True)
 class ConvLayer:
@@ -478,8 +461,7 @@ class VoxelRPN:
         return ad.relu(batchnorm(x, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
                                  self.params.stats, name + "/bn", train))
 
-    def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
-                      train: bool) -> Tensor:
+    def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray) -> Tensor:
         """Per-point MLP + masked max-pool over the occupied voxels:
         (V, cap, 4) slots -> (V, C), one feature row per voxel.
 
@@ -503,7 +485,7 @@ class VoxelRPN:
         """Voxel grid (as for encode_voxels) -> (cls_map (H_f, W_f, A),
         reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
         cfg = self.cfg
-        x = self.encode_voxels(slots, counts, coords, train)
+        x = self.encode_voxels(slots, counts, coords)
         # the first conv reads the voxel rows; its output map is dense
         x = self._conv_bn_relu(conv_voxels, "rpn/conv3d0", cfg.conv3d[0], train, x, coords, dims)
         for i, ly in enumerate(cfg.conv3d[1:], 1):
@@ -531,23 +513,18 @@ class VoxelRPN:
 @dataclass(frozen=True)
 class RefinerConfig:
     feature_channels: int          # C_F of the fused backbone map
+    # 24-vector: the output-layer bias starts at these canonical corners (the
+    # anchor box's own corners) so an untrained refiner is near the identity
+    # refinement instead of collapsing every corner to the center
+    corner_template: tuple
     coord_dim: int = 128
     pointnet: tuple = (256, 512)
     head: tuple = (256,)
-    # "set" normalizes each proposal's point features by their own moments;
-    # "none" keeps the affine pair only, preserving absolute coordinate scale
-    norm: str = "set"
-    # optional 24-vector: output-layer bias starts at these canonical corners
-    # (e.g. the anchor box's own corners) so an untrained refiner is near the
-    # identity refinement instead of collapsing every corner to the center
-    corner_template: tuple | None = None
 
     def __post_init__(self):
         if not self.pointnet:
             raise ConfigError("the refiner's PointNet needs at least one layer")
-        if self.norm not in ("set", "none"):
-            raise ConfigError(f"unknown norm mode {self.norm!r}")
-        if self.corner_template is not None and len(self.corner_template) != 24:
+        if len(self.corner_template) != 24:
             raise ConfigError("corner_template must have 24 entries")
 
 
@@ -575,8 +552,7 @@ class RefinerNet:
             cin = width
         b.weight("refiner/out/w", (cin, 24), cin)
         b.bias("refiner/out/b", 24)
-        if cfg.corner_template is not None:
-            self.params.tensors["refiner/out/b"].data[:] = cfg.corner_template
+        self.params.tensors["refiner/out/b"].data[:] = cfg.corner_template
         if params is not None:
             self.params = _checked(params, self.params, "refiner/")
 
@@ -584,11 +560,8 @@ class RefinerNet:
         return self.params.tensors[name]
 
     def _norm(self, x, name):
-        scale, shift = self._p(name + "/scale"), self._p(name + "/shift")
-        if self.cfg.norm == "set":
-            return setnorm(x, scale, shift)
         c = x.shape[1]
-        return scale.reshape(1, c) * x + shift.reshape(1, c)
+        return self._p(name + "/scale").reshape(1, c) * x + self._p(name + "/shift").reshape(1, c)
 
     def _pooled(self, h: Tensor, name: str) -> Tensor:
         """The last PointNet layer and the max-pool over points: the (1, C) max
@@ -598,22 +571,16 @@ class RefinerNet:
         and falling where it is < 0, and rounding keeps that order. Negating a
         falling channel's w, b and scale is exact and makes it rising, so the
         pool takes each channel's largest entry of h @ (w * sign), and bias,
-        norm and ReLU run on that row alone. The set norm still takes its
-        moments over every row.
+        norm and ReLU run on that row alone.
         """
         scale, shift = self._p(name + "/bn/scale"), self._p(name + "/bn/shift")
         sign = np.where(scale.data >= 0, 1.0, -1.0)
         z = h @ (self._p(name + "/w") * sign)
         c = z.shape[1]
-        top = z.max(axis=0).reshape(1, c)
-        if self.cfg.norm == "set":
-            # the bias shifts the rows and their mean alike, so it cancels
-            return ad.relu(setnorm(top, scale * sign, shift, rows=z))
-        x = top + self._p(name + "/b") * sign
+        x = z.max(axis=0).reshape(1, c) + self._p(name + "/b") * sign
         return ad.relu((scale * sign).reshape(1, c) * x + shift.reshape(1, c))
 
-    def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray,
-                train: bool = False) -> Tensor:
+    def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray) -> Tensor:
         """coords: (N, 3) canonized; feats: (K, C_F), one row per BEV cell;
         cells: (N,) integer row of feats of each point. Returns the 24-vector
         corner prediction."""

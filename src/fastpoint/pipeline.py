@@ -77,7 +77,7 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
             refined.append(det)      # pointless to refine without points
             continue
         with no_grad():
-            pred = refiner.forward(bf.coords, bf.feats, bf.cells, train=False)
+            pred = refiner.forward(bf.coords, bf.feats, bf.cells)
         corners = decode_corners(pred.data, det.box)
         try:
             refined.append(Detection(corners_to_box(corners), det.score, det.cls))

@@ -43,7 +43,7 @@ def mc_iou_bev(a: BoxBEV, b: BoxBEV, n_samples: int = 1_000_000, seed: int = 0) 
 
 # ------------------------------------------------------------- FD gradient
 def finite_diff_check(make_loss, params: list, n_coords: int = 5, step: float = 1e-5,
-                      rtol: float = 1e-4, seed: int = 0) -> float:
+                      seed: int = 0) -> float:
     """Compare analytic gradients of a scalar loss against central
     differences on randomly chosen parameter coordinates.
 

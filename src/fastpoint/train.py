@@ -1,5 +1,6 @@
 """Two-phase training: the region-proposal network first, then the
-refiner on its frozen features. Deterministic given the config seed."""
+refiner on its frozen features. Both phases run one epoch loop.
+Deterministic given the config seed."""
 
 from __future__ import annotations
 
@@ -138,23 +139,34 @@ def rpn_loss(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig, train: bo
     return loss_c + loss_r
 
 
-def train_voxelrpn(prepared: list, cfg: PipelineConfig, log=None) -> VoxelRPN:
-    rpn = VoxelRPN(cfg.net_config(), seed=cfg.seed)
-    opt = make_optimizer(cfg, rpn.params, cfg.train.lr)
-    for epoch in range(cfg.train.rpn_epochs):
-        opt.lr = _lr_at(cfg.train.lr, epoch, cfg.train.rpn_decay_epochs,
-                        cfg.train.decay_factor)
+def _fit(phase: str, params: Parameters, updates: list, loss_of, cfg: PipelineConfig,
+         base_lr: float, epochs: int, decay_epochs, log) -> None:
+    """The epoch loop of both training phases: each epoch takes one optimizer
+    step per entry of updates, on the loss that loss_of(entry) builds, and
+    logs the mean loss. A non-finite loss raises DivergedLoss before its
+    step."""
+    opt = make_optimizer(cfg, params, base_lr)
+    for epoch in range(epochs):
+        opt.lr = _lr_at(base_lr, epoch, decay_epochs, cfg.train.decay_factor)
         total = 0.0
-        for frame in prepared:
-            rpn.params.zero_grad()
-            loss = rpn_loss(rpn, frame, cfg, train=True)
+        for entry in updates:
+            params.zero_grad()
+            loss = loss_of(entry)
             if not math.isfinite(loss.item()):
-                raise DivergedLoss(f"epoch {epoch}: loss {loss.item()}")
+                raise DivergedLoss(f"{phase} epoch {epoch}: loss {loss.item()}")
             loss.backward()
             opt.step()
             total += loss.item()
-        if log is not None:
-            log(f"rpn epoch={epoch} lr={opt.lr:.5g} loss={total / len(prepared):.6f}")
+        if log is not None and updates:
+            log(f"{phase} epoch={epoch} lr={opt.lr:.5g} loss={total / len(updates):.6f}")
+
+
+def train_voxelrpn(prepared: list, cfg: PipelineConfig, log=None) -> VoxelRPN:
+    if not prepared:
+        raise ValueError("train_voxelrpn: no training frames")
+    rpn = VoxelRPN(cfg.net_config(), seed=cfg.seed)
+    _fit("rpn", rpn.params, prepared, lambda frame: rpn_loss(rpn, frame, cfg, train=True),
+         cfg, cfg.train.lr, cfg.train.rpn_epochs, cfg.train.rpn_decay_epochs, log)
     return rpn
 
 
@@ -186,9 +198,9 @@ def _jitter_proposal(gt, rng, min_iou: float):
 
 def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
                   log=None) -> RefinerNet:
+    if not prepared:
+        raise ValueError("train_refiner: no training frames")
     refiner = RefinerNet(cfg.refiner_config(), seed=cfg.seed + 1)
-    base_lr = cfg.train.refiner_lr if cfg.train.refiner_lr is not None else cfg.train.lr
-    opt = make_optimizer(cfg, refiner.params, base_lr)
     spec = cfg.voxel_spec()
     anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), spec)
 
@@ -215,29 +227,18 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
             samples.append((bf, encode_corners(gt, box)))
         cache.append(samples)
 
-    for epoch in range(cfg.train.refiner_epochs):
-        opt.lr = _lr_at(base_lr, epoch, cfg.train.refiner_decay_epochs,
-                        cfg.train.decay_factor)
-        total, n = 0.0, 0
-        for samples in cache:
-            if not samples:
-                continue
-            # trained per frame: one update over all of the frame's proposals
-            refiner.params.zero_grad()
-            frame_loss = None
-            for bf, target in samples:
-                pred = refiner.forward(bf.coords, bf.feats, bf.cells, train=True)
-                term = losses.corner_loss(pred, target, cfg.loss.sigma)
-                frame_loss = term if frame_loss is None else frame_loss + term
-            frame_loss = frame_loss * (1.0 / len(samples))
-            if not math.isfinite(frame_loss.item()):
-                raise DivergedLoss(f"refiner epoch {epoch}: loss {frame_loss.item()}")
-            frame_loss.backward()
-            opt.step()
-            total += frame_loss.item()
-            n += 1
-        if log is not None and n:
-            log(f"refiner epoch={epoch} lr={opt.lr:.5g} loss={total / n:.6f}")
+    def frame_loss(samples):
+        # trained per frame: one update over all of the frame's proposals
+        loss = None
+        for bf, target in samples:
+            term = losses.corner_loss(refiner.forward(bf.coords, bf.feats, bf.cells),
+                                      target, cfg.loss.sigma)
+            loss = term if loss is None else loss + term
+        return loss * (1.0 / len(samples))
+
+    base_lr = cfg.train.refiner_lr if cfg.train.refiner_lr is not None else cfg.train.lr
+    _fit("refiner", refiner.params, [samples for samples in cache if samples], frame_loss,
+         cfg, base_lr, cfg.train.refiner_epochs, cfg.train.refiner_decay_epochs, log)
     return refiner
 
 

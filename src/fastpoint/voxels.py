@@ -9,6 +9,8 @@ exactly.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +34,15 @@ class VoxelSpec:
     max_points_per_voxel: int
 
     def __post_init__(self):
-        if self.max_points_per_voxel < 1:
-            raise ValueError("max_points_per_voxel must be >= 1")
+        cap = self.max_points_per_voxel
+        if not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_points_per_voxel {cap!r} must be an integer >= 1")
+        for field in ("axis_range", "voxel_size"):
+            if len(getattr(self, field)) != 3:
+                raise ValueError(f"{field} {getattr(self, field)} must have three axes (x, y, z)")
         for axis, (lo, hi), v in zip("xyz", self.axis_range, self.voxel_size):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{axis} range ({lo}, {hi}) must have finite bounds")
             if not v > 0:
                 raise ValueError(f"{axis} voxel size {v} must be positive")
             if not lo < hi:

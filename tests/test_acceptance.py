@@ -18,7 +18,7 @@ from fastpoint.config import save_config, toy_config
 from fastpoint.evalkit import EvalConfig, EvalGt, average_precision, evaluate
 from fastpoint.geometry import Box3D
 from fastpoint.nn import (batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
-                          reference_netconfig, setnorm)
+                          reference_netconfig)
 from fastpoint.postprocess import Detection, nms_rotated
 from fastpoint.selfcheck import (brute_force_nms, finite_diff_check, mc_iou_bev,
                                  random_bev_box, random_box3d)
@@ -167,17 +167,6 @@ def test_gradients_batchnorm():
             return (batchnorm(x, scale, shift, stats, "n", train=True) * r).sum()
 
         _fd_case(make, [x, scale, shift], seed)
-
-
-def test_gradients_setnorm():
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        scale = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-        shift = Tensor(rng.normal(size=3), requires_grad=True)
-        r = rng.normal(size=(5, 3))
-        _fd_case(lambda: (setnorm(x, scale, shift) * r).sum(),
-                 [x, scale, shift], seed)
 
 
 def test_gradients_cls_loss():

@@ -61,6 +61,14 @@ def test_angles_must_differ_mod_pi():
         A.AnchorSpec(((1, 1, 1),), (0.0, math.pi), -1.0)
 
 
+@pytest.mark.parametrize("size", [(3.9, 0.0, 1.56), (3.9, 1.7, math.nan), (math.inf, 1.7, 1.56),
+                                  (3.9, -1.7, 1.56), (3.9, 1.7)],
+                         ids=["zero", "nan", "inf", "negative", "two entries"])
+def test_anchor_spec_rejects_impossible_size(size):
+    with pytest.raises(ValueError, match=r"anchor size 1 .* three finite, positive"):
+        A.AnchorSpec(((3.9, 1.7, 1.56), size), (0.0,), -1.0)
+
+
 def test_assignment_bands():
     anchors = grid()
     # gt exactly on an anchor: that anchor is positive

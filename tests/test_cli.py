@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastpoint import cli
-from fastpoint.config import load_config, toy_config
+from fastpoint.config import load_config, save_config, toy_config
 from fastpoint.nn import RefinerNet, VoxelRPN
 from fastpoint.pipeline import infer_frame
 from fastpoint.postprocess import write_detections
@@ -117,3 +117,12 @@ def test_ingest_kitti_frame(tmp_path, capsys):
     assert code == 0
     assert "2 points (1 in range)" in out
     assert "Car" in out
+
+
+def test_train_toy_rejects_an_empty_training_set(tmp_path, capsys):
+    cfg = toy_config()
+    cfg.synthetic.n_scenes = 0
+    p = tmp_path / "empty.yaml"
+    save_config(cfg, p)
+    with pytest.raises(ValueError, match="train_voxelrpn: no training frames"):
+        cli.main(["--config", str(p), "--out", str(tmp_path), "train-toy"])

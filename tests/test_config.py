@@ -46,7 +46,6 @@ def test_refiner_config_template_matches_anchor_corners():
     l, w, h = cfg.anchors.sizes[0]
     want = corners_3d(Box3D(0, 0, 0, l, w, h, 0)).ravel()
     assert np.allclose(rc.corner_template, want)
-    assert rc.norm == "none"
 
 
 def test_yaml_roundtrip(tmp_path):
@@ -76,9 +75,25 @@ def test_section_that_is_not_a_mapping_rejected():
 
 def test_unread_knobs_rejected():
     for raw in ({"split_file": "train.txt"}, {"augment": {"enabled": True}},
-                {"net": {"num_classes": 3}}, {"net": {"attention": "vector"}}):
+                {"net": {"num_classes": 3}}, {"net": {"attention": "vector"}},
+                {"net": {"refiner_norm": "none"}}):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"voxel_size": [0.2, 0.2]}, "voxel_size .* three axes"),
+    ({"voxel_size": [0.2, 0.2, 0.2, 0.2]}, "voxel_size .* three axes"),
+    ({"voxel_range": [[0.0, 12.8], [-6.4, 6.4]]}, "axis_range .* three axes"),
+    ({"voxel_range": [[0.0, 70.4], [-40.0, 40.0], [-3.0, math.inf]]}, "z range .* finite"),
+    ({"max_points_per_voxel": 2.5}, "max_points_per_voxel 2.5"),
+    ({"anchors": {"sizes": [[3.9, 0.0, 1.56]]}}, "anchor size 0 .* positive"),
+    ({"anchors": {"sizes": [[3.9, math.nan, 1.56]]}}, "anchor size 0 .* finite"),
+], ids=["two voxel sizes", "four voxel sizes", "two ranges", "infinite bound",
+        "fractional cap", "zero anchor size", "nan anchor size"])
+def test_impossible_geometry_rejected_when_the_config_is_built(raw, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(raw)
 
 
 def test_top_level_keys_override_defaults():

@@ -28,8 +28,8 @@ def test_shape_mismatch_is_one_class():
 
 
 def test_empty_proposal_is_one_class():
-    refiner = nn.RefinerNet(nn.RefinerConfig(feature_channels=2, coord_dim=4,
-                                             pointnet=(4,), head=(4,)), seed=0)
+    refiner = nn.RefinerNet(nn.RefinerConfig(feature_channels=2, corner_template=(0.0,) * 24,
+                                             coord_dim=4, pointnet=(4,), head=(4,)), seed=0)
     with pytest.raises(EmptyProposal):
         refiner.forward(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0, dtype=int))
     spec = VoxelSpec(((0.0, 8.0), (-4.0, 4.0), (-3.0, 1.0)), (0.2, 0.2, 0.2), 6)
@@ -40,6 +40,6 @@ def test_empty_proposal_is_one_class():
 
 def test_config_error_is_one_class():
     with pytest.raises(ConfigError):
-        nn.RefinerConfig(feature_channels=2, norm="batch")
+        nn.RefinerConfig(feature_channels=2, corner_template=(0.0,) * 24, pointnet=())
     with pytest.raises(ConfigError):
         config_from_dict({"anchors": {"pos_iou": 0.4, "neg_iou": 0.45}})

@@ -12,7 +12,7 @@ from fastpoint.config import toy_config
 from fastpoint.errors import ConfigError, EmptyProposal, ShapeMismatch
 from fastpoint.nn import (MissingCheckpoint, Parameters, RefinerConfig, RefinerNet, VoxelRPN,
                           batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
-                          reference_netconfig, setnorm)
+                          reference_netconfig)
 from fastpoint.selfcheck import finite_diff_check
 from fastpoint.train import merge_parameters
 
@@ -319,15 +319,6 @@ def test_batchnorm_eval_uses_running_stats():
     assert np.allclose(out.data, 0.0, atol=1e-5)
 
 
-def test_setnorm_invariant_to_affine_input_shift():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(30, 4))
-    s, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
-    a = setnorm(Tensor(x), s, b).data
-    c = setnorm(Tensor(x * 3.0 + 7.0), s, b).data
-    assert np.allclose(a, c, atol=1e-6)
-
-
 # --------------------------------------------------------------- NetConfig
 def test_full_scale_shape_contract():
     shapes = reference_netconfig(1.0).infer_shapes((704, 800, 20))
@@ -419,11 +410,11 @@ def test_voxel_encoder_ignores_empty_slots():
     rng = np.random.default_rng(8)
     slots, counts, coords, _ = make_voxels(rng, n=30)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    ref = rpn.encode_voxels(slots, counts, coords, train=False).data
+    ref = rpn.encode_voxels(slots, counts, coords).data
     # garbage in unused slots must not leak into features
     dirty = slots.copy()
     dirty[np.arange(slots.shape[1])[None, :] >= counts[:, None]] = 99.0
-    got = rpn.encode_voxels(dirty, counts, coords, train=False).data
+    got = rpn.encode_voxels(dirty, counts, coords).data
     assert np.allclose(got, ref)
 
 
@@ -433,7 +424,7 @@ def test_voxel_encoder_empty_voxels_are_zero():
     rng = np.random.default_rng(9)
     slots, counts, coords, dims = make_voxels(rng, n=10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    feat = rpn.encode_voxels(slots, counts, coords, train=False)
+    feat = rpn.encode_voxels(slots, counts, coords)
     c = rpn.cfg.encoder_channels
     assert feat.shape == (len(coords), c)
     eye = Tensor(np.eye(c).reshape(c, c, 1, 1, 1))
@@ -447,8 +438,7 @@ def test_voxel_encoder_empty_voxels_are_zero():
 def test_voxel_encoder_without_occupied_voxels_is_zero():
     rpn = VoxelRPN(tiny_cfg(), seed=0)
     coords, dims = np.zeros((0, 3), dtype=np.int64), (16, 16, 20)
-    feat = rpn.encode_voxels(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64),
-                             coords, train=False)
+    feat = rpn.encode_voxels(np.zeros((0, 3, 4)), np.zeros(0, dtype=np.int64), coords)
     assert feat.shape == (0, 4)
     # with no voxel the first conv's map is its bias everywhere, as over a zero grid
     w, b = rpn._p("rpn/conv3d0/w"), Tensor(np.arange(1.0, rpn.cfg.conv3d[0].channels + 1))
@@ -464,7 +454,7 @@ def test_voxel_encoder_rejects_voxel_without_points():
     slots, counts, coords, _ = make_voxels(rng, n=10)
     counts[0] = 0
     with pytest.raises(ShapeMismatch):
-        VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords, train=False)
+        VoxelRPN(tiny_cfg(), seed=0).encode_voxels(slots, counts, coords)
 
 
 def test_sparse_encoder_matches_dense_reference():
@@ -472,7 +462,7 @@ def test_sparse_encoder_matches_dense_reference():
         rng = np.random.default_rng(seed)
         vox = make_voxels(rng, dims=(16, 16, 20), n=200)
         rpn = VoxelRPN(tiny_cfg(), seed=seed)
-        got = rpn.encode_voxels(*vox[:3], train=False)
+        got = rpn.encode_voxels(*vox[:3])
         want = reference_dense_encode(rpn, *vox)
         coords, dims = vox[2], vox[3]
         assert got.shape == (len(coords), rpn.cfg.encoder_channels)
@@ -530,20 +520,19 @@ def test_backward_frees_the_rpn_graph():
 
 # --------------------------------------------------------------- RefinerNet
 def ref_cfg(**kw):
-    base = dict(feature_channels=6, coord_dim=8, pointnet=(16, 32), head=(16,))
+    base = dict(feature_channels=6, corner_template=(0.0,) * 24, coord_dim=8, pointnet=(16, 32),
+                head=(16,))
     base.update(kw)
     return RefinerConfig(**base)
 
 
-def reference_forward(net, coords, feats, train=False):
+def reference_forward(net, coords, feats):
     """Reference for RefinerNet.forward, with feats as one row per point: the
     gate is computed on every point's row, and every PointNet layer runs on
     every point before the max-pool."""
     p = net.params.tensors
 
     def norm(x, name):
-        if net.cfg.norm == "set":
-            return setnorm(x, p[name + "/scale"], p[name + "/shift"])
         c = x.shape[1]
         return p[name + "/scale"].reshape(1, c) * x + p[name + "/shift"].reshape(1, c)
 
@@ -561,9 +550,9 @@ def reference_forward(net, coords, feats, train=False):
     return linear(g, p["refiner/out/w"], p["refiner/out/b"]).reshape(-1)
 
 
-def cell_forward(net, coords, feats, cells, train=False):
+def cell_forward(net, coords, feats, cells):
     """RefinerNet.forward on points whose feature row is feats[cells]."""
-    return net.forward(coords, feats, cells, train=train)
+    return net.forward(coords, feats, cells)
 
 
 def refiner_cases(rng):
@@ -580,12 +569,12 @@ def refiner_cases(rng):
     yield "tied maxima", np.tile(tied[0], (5, 1)), tied[1], np.tile(tied[2], 5)
 
 
-def refiner_variants(norm):
+def refiner_variants():
     """Seeded nets, then with signed and zero norm scales, then with channels
     of the last PointNet layer that the ReLU cuts off on every point."""
-    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    net = RefinerNet(ref_cfg(), seed=0)
     yield "seeded", net
-    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    net = RefinerNet(ref_cfg(), seed=0)
     rng = np.random.default_rng(21)
     for name, t in net.params.tensors.items():
         if name.endswith("/scale"):
@@ -593,7 +582,7 @@ def refiner_variants(norm):
         elif name.endswith("/shift"):
             t.data[:] = rng.normal(size=t.data.shape)
     yield "signed scales", net
-    net = RefinerNet(ref_cfg(norm=norm), seed=0)
+    net = RefinerNet(ref_cfg(), seed=0)
     last = f"refiner/pn{len(net.cfg.pointnet) - 1}"
     w = net.params.tensors[last + "/w"].data
     w[:, ::3] = -np.abs(w[:, ::3])                      # h >= 0, so h @ w <= 0 there
@@ -602,35 +591,28 @@ def refiner_variants(norm):
     yield "dead channels", net
 
 
-@pytest.mark.parametrize("norm", ["none", "set"])
-def test_refiner_forward_matches_reference(norm):
+def test_refiner_forward_matches_reference():
     rng = np.random.default_rng(20)
-    for variant, net in refiner_variants(norm):
+    for variant, net in refiner_variants():
         for case, coords, feats, cells in refiner_cases(rng):
-            for train in (False, True):
-                got = cell_forward(net, coords, feats, cells, train=train).data
-                want = reference_forward(net, coords, feats[cells], train=train).data
-                if norm == "none":
-                    assert got.tobytes() == want.tobytes(), (variant, case)
-                else:
-                    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max()), \
-                        (variant, case)
+            got = cell_forward(net, coords, feats, cells).data
+            want = reference_forward(net, coords, feats[cells]).data
+            assert got.tobytes() == want.tobytes(), (variant, case)
 
 
-@pytest.mark.parametrize("norm", ["none", "set"])
-def test_refiner_gradients_match_reference(norm):
+def test_refiner_gradients_match_reference():
     rng = np.random.default_rng(22)
     coords, feats, cells = rng.normal(size=(40, 3)), rng.normal(size=(7, 6)), rng.integers(0, 7, 40)
     target = rng.normal(size=24)
-    for variant, net in refiner_variants(norm):
+    for variant, net in refiner_variants():
         if variant == "signed scales":
             # a zero scale's gradient is one-sided: kept out, nonzero scales of both signs stay
             for name, t in net.params.tensors.items():
                 if name.endswith("/scale"):
                     t.data[t.data == 0.0] = 0.3
         grads = []
-        for out in (cell_forward(net, coords, feats, cells, train=True),
-                    reference_forward(net, coords, feats[cells], train=True)):
+        for out in (cell_forward(net, coords, feats, cells),
+                    reference_forward(net, coords, feats[cells])):
             net.params.zero_grad()
             ((out - target) * (out - target)).sum().backward()
             grads.append({k: np.zeros(t.data.shape) if t.grad is None else t.grad
@@ -643,8 +625,7 @@ def test_refiner_gradients_match_reference(norm):
 def test_refiner_output_is_24_vector():
     rng = np.random.default_rng(11)
     net = RefinerNet(ref_cfg(), seed=0)
-    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(9, 6)), rng.integers(0, 9, 40),
-                      train=False)
+    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(9, 6)), rng.integers(0, 9, 40))
     assert out.shape == (24,)
 
 
@@ -654,22 +635,22 @@ def test_refiner_permutation_invariant():
     feats = rng.normal(size=(8, 6))
     cells = rng.integers(0, 8, 30)
     net = RefinerNet(ref_cfg(), seed=0)
-    a = net.forward(coords, feats, cells, train=False).data
+    a = net.forward(coords, feats, cells).data
     perm, rows = rng.permutation(30), rng.permutation(8)
-    b = net.forward(coords[perm], feats[rows], np.argsort(rows)[cells[perm]], train=False).data
+    b = net.forward(coords[perm], feats[rows], np.argsort(rows)[cells[perm]]).data
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_refiner_empty_proposal_raises():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(EmptyProposal):
-        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0, dtype=int), train=False)
+        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0, dtype=int))
 
 
 def test_refiner_feature_shape_mismatch():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), np.arange(5), train=False)
+        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), np.arange(5))
 
 
 @pytest.mark.parametrize("cells", [np.zeros(4, dtype=int), np.zeros(6, dtype=int),
@@ -679,7 +660,7 @@ def test_refiner_feature_shape_mismatch():
 def test_refiner_rejects_bad_cells(cells):
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), cells, train=False)
+        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), cells)
 
 
 def test_refiner_corner_template_sets_initial_bias():
@@ -689,8 +670,6 @@ def test_refiner_corner_template_sets_initial_bias():
 
 
 def test_refiner_rejects_bad_config():
-    with pytest.raises(ConfigError):
-        ref_cfg(norm="batch")
     with pytest.raises(ConfigError):
         ref_cfg(corner_template=(1.0, 2.0))
     with pytest.raises(ConfigError):
@@ -706,7 +685,7 @@ def test_refiner_gradient_finite_difference():
     target = rng.normal(size=24)
 
     def make_loss():
-        diff = net.forward(coords, feats, cells, train=True) - target
+        diff = net.forward(coords, feats, cells) - target
         return (diff * diff).sum()
 
     params = [net.params.tensors[n] for n in net.params.names()]

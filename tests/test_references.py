@@ -1,6 +1,6 @@
 """Every top-level function and class in ``src/fastpoint``, and every public
 method of its classes, is used by the package itself: code that only the
-tests run belongs in the tests."""
+tests run belongs in the tests. Every parameter is read by its function."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,37 @@ def test_every_public_method_is_loaded_in_the_package():
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not fn.name.startswith("_") and fn.name not in loaded)
     assert unused == [], f"public methods that no code in src/fastpoint calls: {unused}"
+
+
+def _unread_parameters(mod: str, tree) -> list:
+    """module.function(parameter) for every parameter that its function's
+    body never loads, except self, cls and names that start with "_"."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [v for v in (a.vararg, a.kwarg) if v is not None]]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                loads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.extend(f"{mod}.{prefix}{name}({p})" for p in params
+                              if p not in loads and p not in ("self", "cls")
+                              and not p.startswith("_"))
+                visit(child, f"{prefix}{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return unread
+
+
+def test_every_parameter_is_read_by_its_function():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    unread = sorted(n for mod, tree in trees.items() for n in _unread_parameters(mod, tree))
+    assert unread == [], f"parameters that their function never reads: {unread}"

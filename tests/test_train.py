@@ -153,10 +153,61 @@ def test_rpn_and_refiner_gradients_pinned():
         for gt in frame.gts:
             box = Box3D(gt.x + 0.2, gt.y - 0.1, gt.z, gt.l * 1.05, gt.w, gt.h, gt.theta + 0.1)
             bf = build_box_feature(frame.pc, fused, box, spec, cfg.post.crop_margin)
-            pred = refiner.forward(bf.coords, bf.feats, bf.cells, train=True)
+            pred = refiner.forward(bf.coords, bf.feats, bf.cells)
             loss = loss + corner_loss(pred, encode_corners(gt, box), cfg.loss.sigma)
         loss.backward()
         for name, t in sorted({**rpn.params.tensors, **refiner.params.tensors}.items()):
             digest.update(name.encode() + (b"none" if t.grad is None else t.grad.tobytes()))
     assert digest.hexdigest() == (
         "acb11b2794fa5ce0b68f2808ca6f254aedf7a8d283245e7d40d561f3784cf268")
+
+
+def one_prepared_frame(cfg):
+    frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, cfg.seed)
+    return prepare_frames(frames, cfg, build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(),
+                                                         cfg.voxel_spec()))
+
+
+def test_empty_training_set_is_rejected():
+    cfg = toy_config()
+    with pytest.raises(ValueError, match="train_voxelrpn: no training frames"):
+        train.train_voxelrpn([], cfg)
+    with pytest.raises(ValueError, match="train_refiner: no training frames"):
+        train.train_refiner([], VoxelRPN(cfg.net_config(), seed=0), cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("phase", ["rpn", "refiner"])
+def test_non_finite_loss_raises_diverged_loss_before_any_step(monkeypatch, phase, bad):
+    cfg = toy_config()
+    prepared = one_prepared_frame(cfg)
+    built, steps = [], []
+    make_optimizer = train.make_optimizer
+
+    def spy(cfg, params, lr):
+        built.append(params)
+        return make_optimizer(cfg, params, lr)
+
+    monkeypatch.setattr(train, "make_optimizer", spy)
+    adam_step = train.Adam.step
+
+    def step(opt):
+        steps.append(opt)
+        adam_step(opt)
+
+    monkeypatch.setattr(train.Adam, "step", step)
+    if phase == "rpn":
+        rpn_loss = train.rpn_loss
+        monkeypatch.setattr(train, "rpn_loss", lambda *a, **k: rpn_loss(*a, **k) * bad)
+        fit, args = train.train_voxelrpn, (prepared, cfg)
+        seeded = VoxelRPN(cfg.net_config(), seed=cfg.seed)
+    else:
+        corner_loss = train.losses.corner_loss
+        monkeypatch.setattr(train.losses, "corner_loss", lambda *a: corner_loss(*a) * bad)
+        fit, args = train.train_refiner, (prepared, VoxelRPN(cfg.net_config(), seed=cfg.seed), cfg)
+        seeded = RefinerNet(cfg.refiner_config(), seed=cfg.seed + 1)
+    with pytest.raises(train.DivergedLoss, match=f"^{phase} epoch 0: loss {bad}$"):
+        fit(*args)
+    assert steps == [] and len(built) == 1
+    assert {n: t.data.tobytes() for n, t in built[0].tensors.items()} == \
+        {n: t.data.tobytes() for n, t in seeded.params.tensors.items()}

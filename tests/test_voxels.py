@@ -128,6 +128,27 @@ def test_spec_rejects_inverted_range():
         VoxelSpec(((0.0, 1.0), (0.0, 1.0), (1.0, 0.0)), (0.5, 0.5, 0.5), 6)
 
 
+@pytest.mark.parametrize("axis_range, size, field", [
+    (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (0.5, 0.5), "voxel_size"),
+    (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (0.5, 0.5, 0.5, 0.5), "voxel_size"),
+    (((0.0, 1.0), (0.0, 1.0)), (0.5, 0.5, 0.5), "axis_range"),
+], ids=["two sizes", "four sizes", "two ranges"])
+def test_spec_rejects_other_than_three_axes(axis_range, size, field):
+    with pytest.raises(ValueError, match=f"{field} .* must have three axes"):
+        VoxelSpec(axis_range, size, 6)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_range_bound(bound):
+    with pytest.raises(ValueError, match="y range .* must have finite bounds"):
+        VoxelSpec(((0.0, 1.0), (-1.0, bound), (0.0, 1.0)), (0.5, 0.5, 0.5), 6)
+
+
+def test_spec_rejects_fractional_cap():
+    with pytest.raises(ValueError, match="max_points_per_voxel 2.5 must be an integer"):
+        VoxelSpec(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (0.5, 0.5, 0.5), 2.5)
+
+
 def test_point_to_voxel_index_floor_convention():
     pc = PointCloud(np.array([[35.2, 0.0, -1.0, 0.5]]))
     grid = voxelize(pc, SPEC, seed=0)
