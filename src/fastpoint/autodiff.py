@@ -271,8 +271,14 @@ class Tensor:
         return out
 
 
+def recording(*tensors) -> bool:
+    """Whether an op on these tensors records a graph node: grad mode is on
+    and one of them requires grad."""
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
+
+
 def _make(parents, data):
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if recording(*parents):
         return Tensor(data, requires_grad=True, _parents=parents)
     return Tensor(data)
 
@@ -371,6 +377,43 @@ def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
     out = _make((x,), _add_rows(x.data, indices, size, x.data.shape[1:]))
     if out._parents:
         out._backward = lambda g: (g[indices],)
+    return out
+
+
+def _add_planes(x: np.ndarray, table: np.ndarray, size: int) -> np.ndarray:
+    """A zero (C, size) array into whose cell table[i] of row c the entry
+    x[c, i] is added; x is shaped (C, *table.shape). Repeated cells add in
+    table order, one np.bincount per row."""
+    flat = np.ravel(table)
+    out = np.empty((len(x), size))
+    for c, plane in enumerate(x):
+        out[c] = np.bincount(flat, weights=plane.ravel(), minlength=size)
+    return out
+
+
+def take_planes(x: Tensor, table: np.ndarray) -> Tensor:
+    """Entries table of every row (channel plane) of the (C, P) x, shaped
+    (C, *table.shape). The adjoint of scatter_planes: backward adds each
+    gradient entry back into the cell it came from."""
+    x = as_tensor(x)
+    out = _make((x,), np.take(x.data, table, axis=1))
+    if out._parents:
+        size = x.data.shape[1]
+        out._backward = lambda g: (_add_planes(g, table, size),)
+    return out
+
+
+def scatter_planes(x: Tensor, table: np.ndarray, size: int) -> Tensor:
+    """Add x[c, i] into cell table[i] of row c of a zero (C, size) tensor;
+    x is shaped (C, *table.shape).
+
+    The adjoint of take_planes: repeated cells add in table order as
+    take_planes' backward adds; backward gathers the entries back.
+    """
+    x = as_tensor(x)
+    out = _make((x,), _add_planes(x.data, table, size))
+    if out._parents:
+        out._backward = lambda g: (np.take(g, table, axis=1),)
     return out
 
 

@@ -26,7 +26,8 @@ class LossConfig:
     ohem_keep: int = 512      # hardest negatives retained
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.sigma <= 0 or self.ohem_keep < 1:
+        # written so that NaN fails too
+        if not self.gamma > 0 or not self.sigma > 0 or self.ohem_keep < 1:
             raise ValueError("gamma > 0, sigma > 0, ohem_keep >= 1 required")
 
 

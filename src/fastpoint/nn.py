@@ -3,8 +3,10 @@
 Everything runs on the float64 autodiff tensors from ``autodiff``.
 Convolutions are im2col gathers followed by a matmul; transposed
 convolution is their adjoint, a matmul whose products are scatter-added
-at the same im2col positions. Layouts are channels-first for feature
-maps: (C, X, Y) and (C, X, Y, Z).
+at the same im2col positions. Every channel plane is gathered (or
+scattered) through one tap table built per call, and without a graph a
+convolution multiplies bounded chunks of im2col columns. Layouts are
+channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
 occupied voxel, six 3D conv layers collapsing Z to 1 (the first reads the
@@ -126,36 +128,32 @@ class _Builder:
 
 
 # ----------------------------------------------------------- conv machinery
-_IDX_CACHE: dict = {}
+_GEMM_GROUP = 16  # a multiple of the output-row unroll of the BLAS dgemm kernels
+_CHUNK_BYTES = 4 << 20  # im2col bytes per product when conv_nd records no graph
 
 
-def _im2col_indices(cin, padded, kernel, stride):
-    """Flat gather indices (cin * prod(kernel), prod(out)) into the padded input."""
-    key = (cin, padded, kernel, stride)
-    hit = _IDX_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _tap_table(padded, kernel, stride):
+    """(base, origin, out) of a convolution over one padded channel plane:
+    base (K,) holds the flat offset of each kernel tap, origin (O,) that of
+    each output site's window, so base[:, None] + origin[None, :] is the
+    plane's (K, O) im2col gather table."""
     ndim = len(padded)
     out = tuple((p - k) // s + 1 for p, k, s in zip(padded, kernel, stride))
-    flat_stride = [int(np.prod(padded[ax + 1:])) for ax in range(ndim)]
-    total = np.zeros(kernel + out, dtype=np.int64)
-    for ax in range(ndim):
-        pos = np.arange(kernel[ax])[:, None] + np.arange(out[ax])[None, :] * stride[ax]
-        shape = [1] * (2 * ndim)
-        shape[ax] = kernel[ax]
-        shape[ndim + ax] = out[ax]
-        total = total + (pos * flat_stride[ax]).reshape(
-            [kernel[ax] if i == ax else 1 for i in range(ndim)]
-            + [out[ax] if i == ax else 1 for i in range(ndim)])
-    spat = total.reshape(int(np.prod(kernel)), int(np.prod(out)))
-    chan = np.arange(cin, dtype=np.int64) * int(np.prod(padded))
-    idx = (chan[:, None, None] + spat[None]).reshape(cin * spat.shape[0], spat.shape[1])
-    _IDX_CACHE[key] = (idx, out)
-    return idx, out
+    base = np.ravel_multi_index(np.indices(kernel).reshape(ndim, -1), padded)
+    origin = np.ravel_multi_index(
+        np.indices(out).reshape(ndim, -1) * np.array(stride).reshape(ndim, 1), padded)
+    return base, origin, out
 
 
 def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
-    """Cross-correlation. x: (Cin, *S); w: (Cout, Cin, *K); out: (Cout, *S')."""
+    """Cross-correlation. x: (Cin, *S); w: (Cout, Cin, *K); out: (Cout, *S').
+
+    Every channel plane of the padded input is gathered through one tap
+    table into the (Cin * K, prod(S')) im2col, which the weights multiply.
+    When no graph is recorded the product runs over chunks of at most
+    _CHUNK_BYTES of im2col, whole groups of _GEMM_GROUP columns wide, so
+    each column is rounded as in the one product over all columns.
+    """
     cin = x.shape[0]
     if w.shape[1] != cin:
         raise ShapeMismatch(f"input channels {cin} vs weight {w.shape[1]}")
@@ -164,14 +162,21 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     if any(s + 2 * p < k for s, p, k in zip(spatial, padding, kernel)):
         raise ShapeMismatch(f"kernel {kernel} larger than padded input {spatial}")
     xp = ad.pad(x, ((0, 0),) + tuple((p, p) for p in padding))
-    idx, out_spatial = _im2col_indices(cin, xp.shape[1:], tuple(kernel), tuple(stride))
-    cols = ad.take(xp.reshape(-1), idx)
-    cout = w.shape[0]
-    out = w.reshape(cout, -1) @ cols + b.reshape(cout, 1)
-    return out.reshape((cout,) + out_spatial)
-
-
-_GEMM_GROUP = 16  # a multiple of the output-row unroll of the BLAS dgemm kernels
+    base, origin, out_spatial = _tap_table(xp.shape[1:], tuple(kernel), tuple(stride))
+    planes = xp.reshape(cin, -1)
+    cout, rows = w.shape[0], cin * len(base)
+    wm, bc = w.reshape(cout, rows), b.reshape(cout, 1)
+    if ad.recording(x, w, b):
+        # the backward reads every column: one product
+        cols = ad.take_planes(planes, base[:, None] + origin).reshape(rows, -1)
+        return (wm @ cols + bc).reshape((cout,) + out_spatial)
+    step = max(1, _CHUNK_BYTES // (8 * rows * _GEMM_GROUP)) * _GEMM_GROUP
+    out = np.empty((cout, len(origin)))
+    for j in range(0, len(origin), step):
+        # one statement, so a chunk's columns are freed before the next is taken
+        out[:, j:j + step] = wm.data @ np.take(
+            planes.data, base[:, None] + origin[j:j + step], axis=1).reshape(rows, -1) + bc.data
+    return Tensor(out.reshape((cout,) + out_spatial))
 
 
 def _gemm_sites(pair_site: np.ndarray, size: int) -> np.ndarray:
@@ -253,9 +258,9 @@ def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     out[o, i*s + t - p] += w[o, c, t] * x[c, i], so out size = (in - 1) * s - 2p + k.
 
     x: (Cin, *S); w: (Cout, Cin, *K). The (Cout*K, Cin) taps times the
-    (Cin, prod(S)) input are every product at once; they are summed into the
-    uncropped (Cout, *((S - 1) * s + K)) output at the im2col positions
-    conv_nd would gather from it, and the padding is cropped.
+    (Cin, prod(S)) input are every product at once; each output plane sums
+    them into its uncropped (S - 1) * s + K extent through the tap table
+    conv_nd would gather it with, and the padding is cropped.
     """
     cin, spatial = x.shape[0], x.shape[1:]
     cout, kernel, ndim = w.shape[0], tuple(w.shape[2:]), len(spatial)
@@ -267,11 +272,12 @@ def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     if any(f - 2 * p < 1 for f, p in zip(full, padding)):
         raise ShapeMismatch(f"deconv of {spatial} by kernel {kernel} has no output")
     taps = w.transpose((0,) + tuple(range(2, 2 + ndim)) + (1,)).reshape(-1, cin)
-    idx, _ = _im2col_indices(cout, full, kernel, tuple(stride))
-    sites = np.arange(cout * int(np.prod(full))).reshape((cout,) + full)
-    y = ad.scatter((taps @ x.reshape(cin, -1)).reshape(-1), idx.ravel(), sites.size)
-    crop = sites[(slice(None),) + tuple(slice(p, f - p) for f, p in zip(full, padding))]
-    return ad.take(y, crop) + b.reshape((cout,) + (1,) * ndim)
+    base, origin, _ = _tap_table(full, kernel, tuple(stride))
+    prods = (taps @ x.reshape(cin, -1)).reshape(cout, len(base), len(origin))
+    y = ad.scatter_planes(prods, base[:, None] + origin, int(np.prod(full)))
+    crop = np.arange(y.shape[1]).reshape(full)[tuple(slice(p, f - p)
+                                                     for f, p in zip(full, padding))]
+    return ad.take_planes(y, crop) + b.reshape((cout,) + (1,) * ndim)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -36,9 +36,8 @@ def select_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchor_set: Ancho
     descending score order. Training and inference both pick the refiner's
     proposals here."""
     cand = decode_detections(cls_map, reg_map, anchor_set, post.score_thresh)
-    kept = nms_rotated(cand[:, [0, 1, 3, 4, 6]], cand[:, 7], post.nms_iou)
-    return [Detection(geometry.Box3D.from_array(cand[i, :7]), float(cand[i, 7]))
-            for i in kept[:post.top_k]]
+    kept = nms_rotated(cand[:, [0, 1, 3, 4, 6]], cand[:, 7], post.nms_iou, post.top_k)
+    return [Detection(geometry.Box3D.from_array(cand[i, :7]), float(cand[i, 7])) for i in kept]
 
 
 def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,

@@ -29,13 +29,17 @@ class Detection:
     cls: str = "Car"
 
 
-def nms_rotated(rows: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
+def nms_rotated(rows: np.ndarray, scores: np.ndarray, iou_thresh: float,
+                top_k: int) -> list:
     """Greedy descending-score suppression of (N, 5) BEV rows (x, y, l, w,
-    theta) by their IoU; ties broken by index. Returns kept indices in
-    descending score order.
+    theta) by their IoU; ties broken by index. Returns the first top_k kept
+    indices in descending score order: boxes are kept in that order, so
+    the loop stops there.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError("iou_thresh must be in [0, 1]")
+    if not top_k >= 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[1] != 5:
         raise ShapeMismatch(f"NMS takes (N, 5) BEV rows, got {getattr(rows, 'shape', type(rows))}")
     scores = np.asarray(scores, dtype=np.float64)
@@ -47,6 +51,8 @@ def nms_rotated(rows: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list
     kept = []
     suppressed = np.zeros(len(rows), dtype=bool)
     for rank, i in enumerate(order):
+        if len(kept) == top_k:
+            break
         if suppressed[i]:
             continue
         kept.append(int(i))

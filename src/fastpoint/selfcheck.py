@@ -91,6 +91,19 @@ def brute_force_nms(boxes: list, scores: np.ndarray, iou_thresh: float) -> list:
     return kept
 
 
+def direct_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride, padding) -> np.ndarray:
+    """Cross-correlation as a sum of one strided input slice per kernel tap,
+    without an im2col. x: (Cin, *S); w: (Cout, Cin, *K); out: (Cout, *S')."""
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in padding))
+    kernel = w.shape[2:]
+    out = tuple((s - k) // st + 1 for s, k, st in zip(xp.shape[1:], kernel, stride))
+    y = np.zeros((w.shape[0],) + out) + b.reshape((-1,) + (1,) * len(out))
+    for tap in np.ndindex(*kernel):
+        window = tuple(slice(t, t + st * (n - 1) + 1, st) for t, st, n in zip(tap, stride, out))
+        y += np.tensordot(w[(slice(None), slice(None)) + tap], xp[(slice(None),) + window], 1)
+    return y
+
+
 def brute_force_points_in_box(points: np.ndarray, box: Box3D, margin: float) -> np.ndarray:
     """Per-point canonize-and-compare membership, one point at a time."""
     out = np.zeros(len(points), dtype=bool)
@@ -174,9 +187,29 @@ def run_selftest(quick: bool = True, report=print) -> bool:
         rng = np.random.default_rng(2)
         boxes = [random_bev_box(rng, 5.0) for _ in range(60)]
         scores = rng.uniform(0, 1, 60)
-        got = postprocess.nms_rotated(geometry.bev_rows(boxes), scores, 0.3)
+        rows = geometry.bev_rows(boxes)
         ref = brute_force_nms(boxes, scores, 0.3)
-        assert got == ref, "kept sets differ"
+        for top_k in (len(boxes), len(ref) // 2, 1):
+            got = postprocess.nms_rotated(rows, scores, 0.3, top_k)
+            assert got == ref[:top_k], f"top_k {top_k}: kept sets differ"
+
+    def conv_suite():
+        from .autodiff import Tensor
+        from .nn import conv_nd
+        # the toy config's conv3d1 and conv3d2: several chunks without a
+        # graph, the last one narrower than the others
+        for k, (xs, ws, stride, padding) in enumerate((
+                ((16, 32, 32, 10), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)),
+                ((16, 32, 32, 5), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)))):
+            rng = np.random.default_rng(10 + k)
+            x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in (xs, ws, ws[:1]))
+            whole = conv_nd(x, w, b, stride, padding).data
+            with no_grad():
+                chunked = conv_nd(x, w, b, stride, padding).data
+            assert chunked.tobytes() == whole.tobytes(), f"{xs}: chunks differ from one product"
+            ref = direct_conv(x.data, w.data, b.data, stride, padding)
+            err = np.max(np.abs(whole - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, f"{xs}: relative error {err} vs direct convolution"
 
     def ap_suite():
         ap = evalkit.average_precision(np.array([True]), np.array([False]), 2, "R11")
@@ -210,6 +243,7 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("encode/decode round-trips", roundtrip_suite)
     suite("loss hand values", loss_suite)
     suite("rotated NMS vs brute force", nms_suite)
+    suite("conv_nd chunks vs one product and direct convolution", conv_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)
     return ok_all

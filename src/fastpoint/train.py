@@ -236,8 +236,13 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
             loss = term if loss is None else loss + term
         return loss * (1.0 / len(samples))
 
+    updates = [samples for samples in cache if samples]
+    if not updates:
+        raise ValueError(f"train_refiner: none of the {len(prepared)} frames yields a sample "
+                         f"(no proposal above refiner_pos_iou {cfg.post.refiner_pos_iou} "
+                         f"and refiner_jitter {cfg.train.refiner_jitter})")
     base_lr = cfg.train.refiner_lr if cfg.train.refiner_lr is not None else cfg.train.lr
-    _fit("refiner", refiner.params, [samples for samples in cache if samples], frame_loss,
+    _fit("refiner", refiner.params, updates, frame_loss,
          cfg, base_lr, cfg.train.refiner_epochs, cfg.train.refiner_decay_epochs, log)
     return refiner
 

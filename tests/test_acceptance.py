@@ -210,7 +210,7 @@ def test_nms_equals_brute_force_hundred_boxes():
         boxes = [random_bev_box(rng, 8.0) for _ in range(100)]
         scores = rng.uniform(0, 1, 100)
         for thresh in (0.1, 0.3, 0.5):
-            assert nms_rotated(geometry.bev_rows(boxes), scores, thresh) == \
+            assert nms_rotated(geometry.bev_rows(boxes), scores, thresh, len(boxes)) == \
                 brute_force_nms(boxes, scores, thresh)
 
 

@@ -182,6 +182,34 @@ def test_scatter_adds_repeated_indices():
     check_op(lambda ts: (ad.scatter(ts[0], rows, 5) ** 3).sum(), [(6,)])
 
 
+def test_take_planes_and_scatter_planes_are_adjoint():
+    # <take(x), y> == <x, scatter(y)>; the table repeats cells and never reads cell 9
+    rng = np.random.default_rng(6)
+    table = rng.integers(0, 9, size=(4, 7))
+    x, y = rng.normal(size=(3, 10)), rng.normal(size=(3, 4, 7))
+    took = ad.take_planes(Tensor(x), table).data
+    assert took.flags.c_contiguous and took.tobytes() == np.take(x, table, axis=1).tobytes()
+    spread = ad.scatter_planes(Tensor(y), table, 10).data
+    want = np.zeros((3, 10))
+    for c in range(3):
+        np.add.at(want[c], table.ravel(), y[c].ravel())
+    assert spread.tobytes() == want.tobytes()
+    assert np.sum(took * y) == pytest.approx(np.sum(x * spread), rel=1e-12)
+    # each op's backward is the other op
+    xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    (ad.take_planes(xt, table) * Tensor(y)).sum().backward()
+    (ad.scatter_planes(yt, table, 10) * Tensor(x)).sum().backward()
+    assert xt.grad.tobytes() == spread.tobytes() and yt.grad.tobytes() == took.tobytes()
+
+
+def test_take_planes_and_scatter_planes_gradients():
+    table = np.array([[0, 3, 3], [5, 1, 0]])
+    r = np.random.default_rng(7).normal(size=(2, 2, 3))
+    s = np.random.default_rng(8).normal(size=(2, 6))
+    check_op(lambda ts: ((ad.take_planes(ts[0], table) * r) ** 2).sum(), [(2, 6)])
+    check_op(lambda ts: ((ad.scatter_planes(ts[0], table, 6) * s) ** 2).sum(), [(2, 2, 3)])
+
+
 def test_where_mask_selects_and_masks_gradient():
     mask = np.array([True, False, True])
     a = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)

@@ -85,8 +85,9 @@ def test_seed_override(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out = run(["selftest"], capsys)
     assert code == 0
-    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert out.count("PASS") == 8 and "FAIL" not in out
     assert "PASS crop vs brute force" in out
+    assert "PASS conv_nd chunks vs one product and direct convolution" in out
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -126,3 +127,16 @@ def test_train_toy_rejects_an_empty_training_set(tmp_path, capsys):
     save_config(cfg, p)
     with pytest.raises(ValueError, match="train_voxelrpn: no training frames"):
         cli.main(["--config", str(p), "--out", str(tmp_path), "train-toy"])
+
+
+def test_train_toy_rejects_a_refiner_without_samples(tmp_path, capsys):
+    # an untrained RPN proposes nothing near a gt, and there are no jittered copies
+    cfg = toy_config()
+    cfg.synthetic.n_scenes = 2
+    cfg.train.rpn_epochs = 0
+    cfg.train.refiner_jitter = 0
+    p = tmp_path / "no_samples.yaml"
+    save_config(cfg, p)
+    with pytest.raises(ValueError, match="train_refiner: none of the 2 frames yields a sample"):
+        cli.main(["--config", str(p), "--out", str(tmp_path), "train-toy"])
+    assert not (tmp_path / "checkpoint.npz").exists()

@@ -96,6 +96,12 @@ def test_impossible_geometry_rejected_when_the_config_is_built(raw, match):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("field", ["gamma", "sigma"])
+def test_nan_loss_weight_rejected_when_the_config_loads(field):
+    with pytest.raises(ValueError, match="gamma > 0, sigma > 0"):
+        config_from_dict({"loss": {field: math.nan}})
+
+
 def test_top_level_keys_override_defaults():
     cfg = config_from_dict({"max_points_per_voxel": 4, "seed": 9, "data_dir": "d"})
     assert (cfg.max_points_per_voxel, cfg.seed, cfg.data_dir) == (4, 9, "d")

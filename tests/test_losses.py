@@ -100,6 +100,12 @@ def test_loss_config_validation():
         LossConfig(sigma=0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "sigma"])
+def test_loss_config_rejects_nan(field):
+    with pytest.raises(ValueError, match="gamma > 0, sigma > 0"):
+        LossConfig(**{field: math.nan})
+
+
 def test_cls_loss_gradient_direction():
     # pushing positive probability up and negative down lowers the loss
     p_pos = Tensor(np.array([0.6]), requires_grad=True)

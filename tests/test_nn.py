@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -63,6 +64,65 @@ def test_conv_matches_direct_convolution():
             for j in range(6):
                 want = np.sum(w[o] * xp[:, i:i + 3, j:j + 3])
                 assert out[o, i, j] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def toy_conv_calls():
+    """(x shape, w shape, stride, padding) of every conv_nd call of a toy
+    VoxelRPN forward."""
+    cfg = toy_config()
+    calls, conv = [], nn.conv_nd
+
+    def spy(x, w, b, stride, padding):
+        calls.append((x.shape, w.shape, tuple(stride), tuple(padding)))
+        return conv(x, w, b, stride, padding)
+
+    vox = make_voxels(np.random.default_rng(0), dims=cfg.voxel_spec().dims, n=400)
+    with pytest.MonkeyPatch.context() as m, ad.no_grad():
+        m.setattr(nn, "conv_nd", spy)
+        VoxelRPN(cfg.net_config(), seed=0).forward(*vox)
+    return calls
+
+
+def test_no_grad_conv_byte_equal_to_recorded_conv():
+    # without a graph conv_nd multiplies bounded chunks of columns; the
+    # recorded conv multiplies all of them at once
+    cases = sorted(set(toy_conv_calls()))
+    assert len(cases) >= 6
+    # a paper-width conv3d1 slab, whose last chunk is narrower than the
+    # others and ends in a partial group of columns
+    cases.append(((64, 20, 22, 10), (64, 64, 3, 3, 3), (1, 1, 2), (1, 1, 1)))
+    rows, sites = 64 * 27, 20 * 22 * 5
+    step = nn._CHUNK_BYTES // (8 * rows * nn._GEMM_GROUP) * nn._GEMM_GROUP
+    assert step < sites and sites % step and sites % nn._GEMM_GROUP
+    for k, (xs, ws, stride, padding) in enumerate(cases):
+        rng = np.random.default_rng(k)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in (xs, ws, ws[:1]))
+        recorded = conv_nd(x, w, b, stride, padding)
+        assert recorded._parents
+        with ad.no_grad():
+            got = conv_nd(x, w, b, stride, padding)
+        assert got.data.tobytes() == recorded.data.tobytes(), (xs, ws, stride, padding)
+
+
+def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
+    # conv3d1's kernel, stride and padding on a 64-channel 64 x 64 x 10 map:
+    # its whole im2col would take 283 MB
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(64, 64, 64, 10)))
+    w = Tensor(rng.normal(size=(64, 64, 3, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(64), requires_grad=True)
+    sites = 64 * 64 * 5
+    padded, out, table = 64 * 66 * 66 * 12 * 8, 64 * sites * 8, 27 * sites * 8
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            y = conv_nd(x, w, b, (1, 1, 2), (1, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (64, 64, 64, 5)
+    # one chunk of columns is live at a time
+    assert peak < padded + out + nn._CHUNK_BYTES + table, peak
 
 
 # ------------------------------------------------------------- conv_voxels

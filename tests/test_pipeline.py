@@ -208,9 +208,9 @@ def test_pairwise_iou_consumers_pinned():
         scores = np.round(rng.uniform(0, 1, len(boxes)), 1)
         for thresh in (0.0, 0.1, 0.5):
             digest.update(np.array(nms_rotated(geometry.bev_rows(boxes), scores,
-                                               thresh)).tobytes())
+                                               thresh, len(boxes))).tobytes())
         dets = [Detection(b, float(s)) for b, s in zip(boxes, scores)]
-        kept = nms_rotated(geometry.bev_rows(boxes), scores, cfg.post.nms_iou)
+        kept = nms_rotated(geometry.bev_rows(boxes), scores, cfg.post.nms_iou, len(boxes))
         results.append(FrameResult(frame_id, dets, [dets[i] for i in kept]))
         gts[frame_id] = frame_gts
     dets = {r.frame_id: r.detections for r in results}

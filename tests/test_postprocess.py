@@ -22,13 +22,15 @@ SPEC = AnchorSpec(((3.9, 1.7, 1.56),),
 def test_nms_keeps_highest_of_overlapping_pair():
     boxes = [BoxBEV(0, 0, 4, 2, 0.0), BoxBEV(0.3, 0.1, 4, 2, 0.05),
              BoxBEV(20, 0, 4, 2, 1.0)]
-    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.7, 0.9, 0.5]), iou_thresh=0.1)
+    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.7, 0.9, 0.5]), iou_thresh=0.1,
+                       top_k=3)
     assert kept == [1, 2]
 
 
 def test_nms_tie_broken_by_index():
     boxes = [BoxBEV(0, 0, 4, 2, 0), BoxBEV(0, 0, 4, 2, 0)]
-    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.5, 0.5]), iou_thresh=0.3)
+    kept = nms_rotated(geometry.bev_rows(boxes), np.array([0.5, 0.5]), iou_thresh=0.3,
+                       top_k=2)
     assert kept == [0]
 
 
@@ -36,7 +38,7 @@ def test_nms_threshold_is_strict_inequality():
     # IoU exactly at the threshold is not suppressed
     a, b = BoxBEV(0, 0, 2, 2, 0), BoxBEV(1, 0, 2, 2, 0)
     iou = geometry.iou_bev(a, b)
-    assert nms_rotated(geometry.bev_rows([a, b]), np.array([0.9, 0.8]), iou) == [0, 1]
+    assert nms_rotated(geometry.bev_rows([a, b]), np.array([0.9, 0.8]), iou, 2) == [0, 1]
 
 
 def test_nms_matches_brute_force_random():
@@ -45,11 +47,17 @@ def test_nms_matches_brute_force_random():
         boxes = [random_bev_box(rng, 6.0) for _ in range(40)]
         scores = rng.uniform(0, 1, 40)
         rows = geometry.bev_rows(boxes)
-        assert nms_rotated(rows, scores, 0.2) == brute_force_nms(boxes, scores, 0.2)
+        want = brute_force_nms(boxes, scores, 0.2)
+        assert nms_rotated(rows, scores, 0.2, len(boxes)) == want
+        # stopping at top_k keeps the first top_k of the full result
+        for top_k in (0, 1, len(want) // 2, len(want) - 1):
+            assert nms_rotated(rows, scores, 0.2, top_k) == want[:top_k]
         # tied scores, broken by index
         ties = np.round(scores, 1)
         for thresh in (0.0, 0.1, 0.5):
-            assert nms_rotated(rows, ties, thresh) == brute_force_nms(boxes, ties, thresh)
+            want = brute_force_nms(boxes, ties, thresh)
+            assert nms_rotated(rows, ties, thresh, len(boxes)) == want
+            assert nms_rotated(rows, ties, thresh, len(want) // 2) == want[:len(want) // 2]
 
 
 def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
@@ -69,7 +77,7 @@ def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
         return kernel(rows_a, rows_b)
 
     monkeypatch.setattr(geometry, "_iou_bev_pairs", counting)
-    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.2) == want
+    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.2, len(boxes)) == want
     assert pairs
     for a, b in pairs:
         assert rank[id(a)] < rank[id(b)]
@@ -79,21 +87,23 @@ def test_nms_tests_only_later_ranked_nearby_pairs(monkeypatch):
 
 def test_nms_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([np.nan]), 0.5)
+        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([np.nan]), 0.5, 1)
     with pytest.raises(ValueError):
-        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([0.5]), 1.5)
+        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([0.5]), 1.5, 1)
+    with pytest.raises(ValueError):
+        nms_rotated(geometry.bev_rows([BoxBEV(0, 0, 1, 1, 0)]), np.array([0.5]), 0.5, -1)
 
 
 def test_nms_rejects_more_boxes_than_scores():
     boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(3)]
     with pytest.raises(ShapeMismatch):
-        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8]), 0.5)
+        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8]), 0.5, 3)
 
 
 def test_nms_rejects_more_scores_than_boxes():
     boxes = [BoxBEV(5.0 * k, 0, 1, 1, 0) for k in range(2)]
     with pytest.raises(ShapeMismatch):
-        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8, 0.7]), 0.5)
+        nms_rotated(geometry.bev_rows(boxes), np.array([0.9, 0.8, 0.7]), 0.5, 3)
 
 
 def test_nms_rejects_anything_but_bev_rows():
@@ -102,9 +112,9 @@ def test_nms_rejects_anything_but_bev_rows():
     for bad in (boxes, [b.bev() for b in boxes], geometry.bev_rows(boxes).tolist(),
                 np.array([b.as_array() for b in boxes]), geometry.bev_rows(boxes)[0], []):
         with pytest.raises(ShapeMismatch):
-            nms_rotated(bad, scores, 0.1)
-    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.1) == [1]
-    assert nms_rotated(np.zeros((0, 5)), np.zeros(0), 0.1) == []
+            nms_rotated(bad, scores, 0.1, 2)
+    assert nms_rotated(geometry.bev_rows(boxes), scores, 0.1, 2) == [1]
+    assert nms_rotated(np.zeros((0, 5)), np.zeros(0), 0.1, 30) == []
 
 
 def test_decode_detections_threshold_and_exact_recovery():

@@ -176,6 +176,18 @@ def test_empty_training_set_is_rejected():
         train.train_refiner([], VoxelRPN(cfg.net_config(), seed=0), cfg)
 
 
+def test_refiner_without_a_sample_is_rejected():
+    # no jittered copies, and no proposal of the seeded RPN overlaps a gt
+    # above refiner_pos_iou: no frame has a sample to train on
+    cfg = toy_config()
+    cfg.train.refiner_jitter = 0
+    frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 2, cfg.seed)
+    prepared = prepare_frames(frames, cfg, build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(),
+                                                             cfg.voxel_spec()))
+    with pytest.raises(ValueError, match="train_refiner: none of the 2 frames yields a sample"):
+        train.train_refiner(prepared, VoxelRPN(cfg.net_config(), seed=cfg.seed), cfg)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("phase", ["rpn", "refiner"])
 def test_non_finite_loss_raises_diverged_loss_before_any_step(monkeypatch, phase, bad):
