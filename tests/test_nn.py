@@ -111,8 +111,7 @@ def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
     x = Tensor(rng.normal(size=(64, 64, 64, 10)))
     w = Tensor(rng.normal(size=(64, 64, 3, 3, 3)), requires_grad=True)
     b = Tensor(np.zeros(64), requires_grad=True)
-    sites = 64 * 64 * 5
-    padded, out, table = 64 * 66 * 66 * 12 * 8, 64 * sites * 8, 27 * sites * 8
+    padded, out = 64 * 66 * 66 * 12 * 8, 64 * (64 * 64 * 5) * 8
     tracemalloc.start()
     try:
         with ad.no_grad():
@@ -121,8 +120,9 @@ def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert y.shape == (64, 64, 64, 5)
-    # one chunk of columns is live at a time
-    assert peak < padded + out + nn._CHUNK_BYTES + table, peak
+    # one chunk of columns is live at a time; its table, its products and
+    # the window origins take < 1 MiB
+    assert peak < padded + out + nn._CHUNK_BYTES + (1 << 20), peak
 
 
 # ------------------------------------------------------------- conv_voxels
