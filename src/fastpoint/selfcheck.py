@@ -196,11 +196,12 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     def conv_suite():
         from .autodiff import Tensor
         from .nn import conv_nd
-        # the toy config's conv3d1 and conv3d2: several chunks without a
-        # graph, the last one narrower than the others
+        # the toy config's conv3d1 and conv3d2, and a paper-width conv3d1
+        # slab: several chunks without a graph, the last one narrower
         for k, (xs, ws, stride, padding) in enumerate((
                 ((16, 32, 32, 10), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)),
-                ((16, 32, 32, 5), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)))):
+                ((16, 32, 32, 5), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)),
+                ((64, 20, 22, 10), (64, 64, 3, 3, 3), (1, 1, 2), (1, 1, 1)))):
             rng = np.random.default_rng(10 + k)
             x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in (xs, ws, ws[:1]))
             whole = conv_nd(x, w, b, stride, padding).data
