@@ -38,7 +38,7 @@ def nms_rotated(rows: np.ndarray, scores: np.ndarray, iou_thresh: float,
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError("iou_thresh must be in [0, 1]")
-    if not top_k >= 0:
+    if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[1] != 5:
         raise ShapeMismatch(f"NMS takes (N, 5) BEV rows, got {getattr(rows, 'shape', type(rows))}")
