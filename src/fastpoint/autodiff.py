@@ -357,26 +357,13 @@ def _add_rows(rows: np.ndarray, indices: np.ndarray, size: int, row: tuple) -> n
 
 def take(x: Tensor, indices: np.ndarray) -> Tensor:
     """Rows indices of x, shaped indices.shape + x.shape[1:] (elements, when
-    x is 1-D). The adjoint of scatter: backward adds each gradient row back
-    into the row it came from."""
+    x is 1-D). Backward adds each gradient row back into the row it came
+    from."""
     x = as_tensor(x)
     out = _make((x,), x.data[indices])
     if out._parents:
         size, row = x.data.shape[0], x.data.shape[1:]
         out._backward = lambda g: (_add_rows(g, indices, size, row),)
-    return out
-
-
-def scatter(x: Tensor, indices: np.ndarray, size: int) -> Tensor:
-    """Add row i of x into row indices[i] of a zero (size, ...) tensor.
-
-    The adjoint of take: repeated indices add, in index order as take's
-    backward adds; backward gathers the rows back.
-    """
-    x = as_tensor(x)
-    out = _make((x,), _add_rows(x.data, indices, size, x.data.shape[1:]))
-    if out._parents:
-        out._backward = lambda g: (g[indices],)
     return out
 
 

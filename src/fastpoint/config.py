@@ -6,6 +6,7 @@ vs. network stride) is validated at load time."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -49,6 +50,19 @@ class PostParams:
     top_k: int = 30
     refiner_pos_iou: float = 0.5
     crop_margin: float = 0.3
+
+    def __post_init__(self):
+        # each test is written so that NaN fails it too
+        for name, ok, need in (
+                ("score_thresh", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                ("nms_iou", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                ("top_k", lambda v: isinstance(v, numbers.Integral) and v >= 1,
+                 "an integer >= 1"),
+                ("refiner_pos_iou", lambda v: 0 <= v < 1, "in [0, 1)"),
+                ("crop_margin", lambda v: 0 <= v < math.inf, "finite and >= 0")):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and ok(value)):
+                raise ConfigError(f"post.{name} {value!r} must be {need}")
 
 
 @dataclass
@@ -141,6 +155,7 @@ class PipelineConfig:
                 f"feature map {h_f}x{w_f} does not evenly divide voxel grid {nx}x{ny}")
         if self.anchors.pos_iou <= self.anchors.neg_iou:
             raise ConfigError("pos_iou must exceed neg_iou")
+        self.refiner_config()   # checks the refiner's widths
 
 
 # ---------------------------------------------------------------- yaml io

@@ -12,8 +12,7 @@ import numpy as np
 from . import geometry
 from .geometry import Box3D
 
-R11_RECALLS = np.linspace(0.0, 1.0, 11)
-R40_RECALLS = np.arange(1, 41) / 40.0
+AP_RECALLS = {"R11": np.linspace(0.0, 1.0, 11), "R40": np.arange(1, 41) / 40.0}
 
 
 class MissingFrame(KeyError):
@@ -35,6 +34,10 @@ class EvalConfig:
     range_bucket: tuple | None = None    # (min_m, max_m) on gt BEV center distance
     ap_mode: str = "R11"
 
+    def __post_init__(self):
+        _iou_fn(self.metric)
+        _recalls(self.ap_mode)
+
 
 def _iou_fn(metric: str):
     if metric == "3D":
@@ -42,6 +45,12 @@ def _iou_fn(metric: str):
     if metric == "BEV":
         return lambda a, b: geometry.iou_bev(a.bev(), b.bev())
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _recalls(mode: str) -> np.ndarray:
+    if mode not in AP_RECALLS:
+        raise ValueError(f"unknown AP mode {mode!r}, expected one of {sorted(AP_RECALLS)}")
+    return AP_RECALLS[mode]
 
 
 def match_detections(dets: list, gts: list, iou_fn, thresh: float):
@@ -88,7 +97,7 @@ def average_precision(tp: np.ndarray, fp: np.ndarray, n_gt: int, mode: str = "R1
     """Interpolated AP from cumulative TP/FP ordered by descending score."""
     if n_gt < 0:
         raise ValueError("n_gt must be non-negative")
-    recalls = {"R11": R11_RECALLS, "R40": R40_RECALLS}[mode]
+    recalls = _recalls(mode)
     if n_gt == 0 or len(tp) == 0:
         return 0.0
     ctp = np.cumsum(tp.astype(np.float64))

@@ -10,7 +10,7 @@ channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
 occupied voxel, six 3D conv layers collapsing Z to 1 (the first reads the
-occupied voxels' feature rows through a rulebook and writes a dense map),
+occupied voxels' feature rows through the tap table and writes a dense map),
 three 2D conv blocks, three deconvolution branches fused by channel
 concat, and 1x1 classification / regression heads. The
 refiner is a PointNet over canonized in-box points whose coordinate
@@ -25,6 +25,7 @@ run on the pooled row only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,19 +180,17 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     return Tensor(out.reshape((cout,) + out_spatial))
 
 
-def _gemm_sites(pair_site: np.ndarray, size: int) -> np.ndarray:
+def _gemm_sites(used: np.ndarray) -> np.ndarray:
     """Sorted output sites whose im2col columns conv_voxels multiplies.
 
     A BLAS dgemm kernel may round an output column differently when it
     falls in the last, partial group of columns. So that every column is
-    computed as in conv_nd's product over all size sites, the reached sites
-    before that partial group are padded with unreached ones (zero columns,
-    whose sum is the dense one) to whole groups, and the partial group's
-    sites are always computed.
+    computed as in conv_nd's product over all sites, the mask of reached
+    sites before that partial group is padded in place with unreached ones
+    (zero columns, whose sum is the dense one) to whole groups, and the
+    partial group's sites are always computed.
     """
-    used = np.zeros(size, dtype=bool)
-    used[pair_site] = True
-    tail = size - size % _GEMM_GROUP
+    tail = len(used) - len(used) % _GEMM_GROUP
     fill = -np.count_nonzero(used[:tail]) % _GEMM_GROUP
     used[np.flatnonzero(~used[:tail])[:fill]] = True
     used[tail:] = True
@@ -204,13 +203,14 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
     elsewhere, computed from the occupied voxels only.
 
     feats: (V, Cin); coords: (V, ndim) distinct voxel indices inside dims;
-    out: (Cout, *S'). The rulebook lists every (voxel, kernel offset,
-    output site) triple; only the reached sites get an im2col column, which
-    holds the dense column's values in the same order. The other sites hold
-    exactly b. So the output is byte-equal to the dense convolution when the
-    output size is a multiple of _GEMM_GROUP (every grid the configs build),
-    and otherwise when both products take the same BLAS path; else the last
-    partial group's columns may differ in the last bit.
+    out: (Cout, *S'). Through a map of the padded grid that holds each
+    cell's feats row (V, a zero row, where no voxel is), conv_nd's tap table
+    gathers the dense im2col column of each site whose window reads a voxel.
+    The other sites hold exactly b. So the output is byte-equal to the dense
+    convolution when the output size is a multiple of _GEMM_GROUP (every
+    grid the configs build), and otherwise when both products take the same
+    BLAS path; else the last partial group's columns may differ in the last
+    bit.
     """
     v, cin = feats.shape
     kernel, ndim = tuple(w.shape[2:]), len(dims)
@@ -219,38 +219,27 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
                             f"need V rows of {ndim} coords and Cin = {w.shape[1]}")
     if np.any(coords < 0) or np.any(coords >= np.asarray(dims)):
         raise ShapeMismatch(f"voxel coords outside the grid {tuple(dims)}")
-    flat = np.sort(np.ravel_multi_index(coords.T, dims))
-    if np.any(flat[1:] == flat[:-1]):
-        raise ShapeMismatch("repeated voxel coords")
     if any(s + 2 * p < k for s, p, k in zip(dims, padding, kernel)):
         raise ShapeMismatch(f"kernel {kernel} larger than padded input {tuple(dims)}")
-    out = tuple((s + 2 * p - k) // st + 1 for s, p, k, st in zip(dims, padding, kernel, stride))
-    # per axis, tap t of coordinate x reaches output j where j * stride == x + pad - t;
-    # the product of the axes' tap tables is the (V, *K) rulebook
-    reach = np.ones((v,) + (1,) * ndim, dtype=bool)
-    site = np.zeros((v,) + (1,) * ndim, dtype=np.int64)
-    for ax in range(ndim):
-        q = coords[:, ax:ax + 1] + padding[ax] - np.arange(kernel[ax])
-        j = q // stride[ax]
-        shape = [v] + [1] * ndim
-        shape[ax + 1] = kernel[ax]
-        ok = (q % stride[ax] == 0) & (j >= 0) & (j < out[ax])
-        reach = reach & ok.reshape(shape)
-        site = site * out[ax] + j.reshape(shape)
-    taps, size = int(np.prod(kernel)), int(np.prod(out))
-    pair = np.flatnonzero(reach)
-    voxel, offset = np.divmod(pair, taps)
-    pair_site = site.ravel()[pair]
-    sites = _gemm_sites(pair_site, size)
-    col = np.searchsorted(sites, pair_site)
-    n, chan, cout = len(sites), np.arange(cin), w.shape[0]
-    # feats[voxel, c] goes to im2col row c * K + offset, column col
-    vals = ad.take(feats, voxel).reshape(-1)
-    cols = ad.scatter(vals, ((chan * taps + offset[:, None]) * n + col[:, None]).ravel(),
-                      cin * taps * n).reshape(cin * taps, n)
-    y = ad.scatter((w.reshape(cout, -1) @ cols).reshape(-1),
-                   (np.arange(cout)[:, None] * size + sites).ravel(), cout * size)
-    return (y.reshape(cout, size) + b.reshape(cout, 1)).reshape((cout,) + out)
+    padded = tuple(s + 2 * p for s, p in zip(dims, padding))
+    base, origin, out = _tap_table(padded, kernel, tuple(stride))
+    cells = np.ravel_multi_index((coords + np.asarray(padding)).T, padded)
+    row_of, rows = np.full(int(np.prod(padded)), v), np.arange(v)
+    row_of[cells] = rows
+    if np.any(row_of[cells] != rows):
+        raise ShapeMismatch("repeated voxel coords")
+    # tap t of the window at origin o reads cell o + base[t], so a voxel at
+    # cell c is read by the window at c - base[t] when that is an origin
+    # (a window inside the grid adds its taps without carry)
+    hit = (cells[:, None] - base).ravel()
+    reads = np.zeros(len(row_of), dtype=bool)
+    reads[hit[hit >= 0]] = True
+    sites = _gemm_sites(reads[origin])
+    planes = ad.concat([feats, Tensor(np.zeros((1, cin)))]).transpose((1, 0))
+    cols = ad.take_planes(planes, row_of[base[:, None] + origin[sites]])
+    cout = w.shape[0]
+    y = w.reshape(cout, -1) @ cols.reshape(cin * len(base), len(sites))
+    return (ad.scatter_planes(y, sites, len(origin)) + b.reshape(cout, 1)).reshape((cout,) + out)
 
 
 def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
@@ -530,6 +519,9 @@ class RefinerConfig:
     def __post_init__(self):
         if not self.pointnet:
             raise ConfigError("the refiner's PointNet needs at least one layer")
+        widths = (self.coord_dim,) + tuple(self.pointnet) + tuple(self.head)
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in widths):
+            raise ConfigError(f"refiner widths {widths} must be integers >= 1")
         if len(self.corner_template) != 24:
             raise ConfigError("corner_template must have 24 entries")
 

@@ -195,7 +195,7 @@ def run_selftest(quick: bool = True, report=print) -> bool:
 
     def conv_suite():
         from .autodiff import Tensor
-        from .nn import conv_nd
+        from .nn import conv_nd, conv_voxels
         # the toy config's conv3d1 and conv3d2, and a paper-width conv3d1
         # slab: several chunks without a graph, the last one narrower
         for k, (xs, ws, stride, padding) in enumerate((
@@ -211,6 +211,23 @@ def run_selftest(quick: bool = True, report=print) -> bool:
             ref = direct_conv(x.data, w.data, b.data, stride, padding)
             err = np.max(np.abs(whole - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, f"{xs}: relative error {err} vs direct convolution"
+        # the toy config's conv3d0: a few hundred voxels and the grid's corners
+        rng = np.random.default_rng(13)
+        dims = (64, 64, 20)
+        corners = [np.ravel_multi_index([i * (d - 1) for i, d in zip(c, dims)], dims)
+                   for c in np.ndindex(2, 2, 2)]
+        cells = np.unique(np.concatenate([rng.choice(np.prod(dims), 300, replace=False),
+                                          corners]))
+        coords = np.stack(np.unravel_index(cells, dims), axis=1)
+        feats, w, b = (rng.normal(size=s) for s in ((len(cells), 8), (16, 8, 3, 3, 3), (16,)))
+        grid = np.zeros((8,) + dims)
+        grid[(slice(None),) + tuple(coords.T)] = feats.T
+        with no_grad():
+            got = conv_voxels(Tensor(feats), coords, dims, Tensor(w), Tensor(b),
+                              (2, 2, 2), (1, 1, 1)).data
+        ref = direct_conv(grid, w, b, (2, 2, 2), (1, 1, 1))
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12, f"conv_voxels: relative error {err} vs direct convolution"
 
     def ap_suite():
         ap = evalkit.average_precision(np.array([True]), np.array([False]), 2, "R11")
@@ -244,7 +261,8 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("encode/decode round-trips", roundtrip_suite)
     suite("loss hand values", loss_suite)
     suite("rotated NMS vs brute force", nms_suite)
-    suite("conv_nd chunks vs one product and direct convolution", conv_suite)
+    suite("conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution",
+          conv_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)
     return ok_all

@@ -146,10 +146,10 @@ def test_gradients_deconv2d():
 def test_gradients_scatter():
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        rows = rng.permutation(7)[:4]
-        r = rng.normal(size=(7, 3))
-        _fd_case(lambda: ((ad.scatter(x, rows, 7) * r) ** 2).sum(), [x], seed)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        cells = rng.permutation(7)[:4]
+        r = rng.normal(size=(3, 7))
+        _fd_case(lambda: ((ad.scatter_planes(x, cells, 7) * r) ** 2).sum(), [x], seed)
 
 
 def test_gradients_batchnorm():

@@ -162,26 +162,6 @@ def test_take_gathers_rows_and_backward_adds_them():
     check_op(lambda ts: ((ad.take(ts[0], idx) * r) ** 2).sum(), [(4, 3)])
 
 
-def test_scatter_places_rows_and_backward_gathers():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    out = ad.scatter(x, np.array([2, 0]), 3)
-    assert np.array_equal(out.data, np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]]))
-    (out * Tensor(np.array([[1.0, 2.0], [5.0, 6.0], [3.0, 4.0]]))).sum().backward()
-    assert np.array_equal(x.grad, np.array([[3.0, 4.0], [1.0, 2.0]]))
-
-
-def test_scatter_adds_repeated_indices():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), requires_grad=True)
-    out = ad.scatter(x, np.array([2, 0, 2]), 3)
-    assert np.array_equal(out.data, np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]]))
-    (out * Tensor(np.array([[1.0, 2.0], [5.0, 6.0], [3.0, 4.0]]))).sum().backward()
-    assert np.array_equal(x.grad, np.array([[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]))
-    rows = np.array([1, 3, 1, 0, 3, 3])
-    r = np.random.default_rng(4).normal(size=(5, 2))
-    check_op(lambda ts: ((ad.scatter(ts[0], rows, 5) * r) ** 2).sum(), [(6, 2)])
-    check_op(lambda ts: (ad.scatter(ts[0], rows, 5) ** 3).sum(), [(6,)])
-
-
 def test_take_planes_and_scatter_planes_are_adjoint():
     # <take(x), y> == <x, scatter(y)>; the table repeats cells and never reads cell 9
     rng = np.random.default_rng(6)

@@ -87,7 +87,8 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert out.count("PASS") == 8 and "FAIL" not in out
     assert "PASS crop vs brute force" in out
-    assert "PASS conv_nd chunks vs one product and direct convolution" in out
+    assert ("PASS conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution"
+            in out)
 
 
 def test_unknown_command_rejected(tmp_path):

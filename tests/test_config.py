@@ -96,6 +96,22 @@ def test_impossible_geometry_rejected_when_the_config_is_built(raw, match):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"post": {"crop_margin": -0.5}}, "post.crop_margin -0.5"),
+    ({"post": {"top_k": -1}}, "post.top_k -1 .* integer"),
+    ({"post": {"top_k": 2.5}}, "post.top_k 2.5 .* integer"),
+    ({"post": {"nms_iou": 1.5}}, "post.nms_iou 1.5"),
+    ({"post": {"score_thresh": math.nan}}, "post.score_thresh nan"),
+    ({"post": {"refiner_pos_iou": 2.0}}, "post.refiner_pos_iou 2.0"),
+    ({"net": {"refiner_pointnet": []}}, "PointNet needs at least one layer"),
+    ({"net": {"refiner_head": [64, 0]}}, "refiner widths .* integers >= 1"),
+], ids=["negative margin", "negative top_k", "fractional top_k", "nms iou above 1",
+        "nan score threshold", "refiner iou above 1", "no PointNet layer", "zero head width"])
+def test_unusable_post_and_refiner_settings_rejected_when_the_config_is_built(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("field", ["gamma", "sigma"])
 def test_nan_loss_weight_rejected_when_the_config_loads(field):
     with pytest.raises(ValueError, match="gamma > 0, sigma > 0"):

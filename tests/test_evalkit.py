@@ -102,6 +102,11 @@ def test_ap_r40_mode_differs():
     assert r11 != pytest.approx(r40)
 
 
+def test_ap_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown AP mode 'R12'"):
+        average_precision(np.array([True]), np.array([False]), 1, "R12")
+
+
 def test_ap_monotone_in_extra_tp():
     base_tp = np.array([True, False])
     base_fp = ~base_tp
@@ -160,6 +165,13 @@ def test_evaluate_bev_metric_insensitive_to_height():
 def test_evaluate_rejects_unknown_metric():
     with pytest.raises(ValueError):
         evaluate({}, EvalConfig(metric="4D"))
+
+
+@pytest.mark.parametrize("kwargs, match", [({"metric": "4D"}, "unknown metric '4D'"),
+                                           ({"ap_mode": "R12"}, "unknown AP mode 'R12'")])
+def test_eval_config_rejects_unknown_metric_and_ap_mode_when_built(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        EvalConfig(**kwargs)
 
 
 def test_evaluate_table_and_format():

@@ -129,10 +129,9 @@ def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
 def scatter_grid(feats, coords, dims):
     """The grid conv_voxels convolves: feats row i at coords[i], zero
     elsewhere, channels first (C, *dims)."""
-    ndim = len(dims)
-    cells = ad.scatter(feats, np.ravel_multi_index(coords.T, dims), int(np.prod(dims)))
-    return cells.reshape(tuple(dims) + (feats.shape[1],)).transpose(
-        (ndim,) + tuple(range(ndim)))
+    flat = np.ravel_multi_index(coords.T, dims)
+    return ad.scatter_planes(feats.transpose((1, 0)), flat, int(np.prod(dims))).reshape(
+        (feats.shape[1],) + tuple(dims))
 
 
 def dense_conv_voxels(feats, coords, dims, w, b, stride, padding):
@@ -204,11 +203,13 @@ def test_conv_voxels_matches_dense_oracle(data):
 
 
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("cells", [[], [0], [37], "corners_and_faces"])
+@pytest.mark.parametrize("cells", [[], [0], [37], "corners_and_faces", "full"])
 def test_conv_voxels_empty_single_and_boundary_voxels(cells, bias):
     dims = (5, 4, 6)
     if cells == "corners_and_faces":
         cells = corners_and_faces(dims)
+    elif cells == "full":
+        cells = list(range(int(np.prod(dims))))
     rng = np.random.default_rng(len(cells))
     for kernel, stride, padding in (((3, 3, 3), (2, 2, 2), (1, 1, 1)),
                                     ((2, 1, 2), (1, 1, 1), (1, 0, 0)),
