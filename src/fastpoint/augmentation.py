@@ -15,6 +15,9 @@ from .kitti import PointCloud
 
 CONTEXT_MARGIN = 0.3     # meters kept around a database crop
 MIN_DB_POINTS = 5        # interior points required for a database entry
+PERTURB_XY_SIGMA = 1.0   # meters, std of a perturbed object's x and y shift
+PERTURB_Z_SIGMA = 0.3    # meters, std of its z shift
+PERTURB_TRIES = 10       # poses drawn per object before it is left in place
 
 
 @dataclass
@@ -64,38 +67,29 @@ def global_augment(pc: PointCloud, gts: list, seed: int,
 
 
 def perturb_objects(pc: PointCloud, gts: list, seed: int,
-                    xy_sigma: float = 1.0, z_sigma: float = 0.3,
-                    rot_range_deg: float = 18.0, max_tries: int = 10,
-                    trace: list | None = None) -> tuple:
+                    rot_range_deg: float = 18.0) -> tuple:
     """Independently jitter each gt box and its interior points.
 
-    A proposed pose is rejected (and resampled, up to max_tries) when the
-    moved box overlaps any other box in BEV; after the tries run out the
-    object is left untouched.
+    A proposed pose is rejected (and resampled, up to PERTURB_TRIES times)
+    when the moved box overlaps any other box in BEV; after the tries run
+    out the object is left untouched.
     """
     rng = np.random.default_rng(seed)
     pts = pc.points.copy()
     boxes = list(gts)
     for i, box in enumerate(list(boxes)):
         inside = geometry.points_in_box(pts, box)
-        accepted = False
-        for attempt in range(max_tries):
-            dx, dy = rng.normal(0.0, xy_sigma, 2)
-            dz = rng.normal(0.0, z_sigma)
+        for _ in range(PERTURB_TRIES):
+            dx, dy = rng.normal(0.0, PERTURB_XY_SIGMA, 2)
+            dz = rng.normal(0.0, PERTURB_Z_SIGMA)
             phi = math.radians(rng.uniform(-rot_range_deg, rot_range_deg))
             cand = Box3D(box.x + dx, box.y + dy, box.z + dz, box.l, box.w, box.h,
                          normalize_angle(box.theta + phi))
-            collides = any(
-                geometry.iou_bev(cand.bev(), other.bev()) > 0
-                for j, other in enumerate(boxes) if j != i
-            )
-            if trace is not None:
-                trace.append((i, attempt, not collides))
-            if not collides:
-                accepted = True
+            if not any(geometry.iou_bev(cand.bev(), other.bev()) > 0
+                       for j, other in enumerate(boxes) if j != i):
                 break
-        if not accepted:
-            continue
+        else:
+            continue    # every pose collided: the object stays where it was
         # rotate interior points about the box's own axis, then translate
         local = pts[inside].copy()
         local[:, :3] = geometry.canonize_points(box, local[:, :3])

@@ -73,12 +73,12 @@ class Tensor:
     # keep numpy from absorbing Tensor operands; reflected dunders run instead
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None   # each op sets its closure after construction
 
     # ------------------------------------------------------------------ util
     @property

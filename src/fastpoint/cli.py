@@ -22,6 +22,7 @@ def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else toy_config()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+        cfg.validate()      # the flag's seed is checked as a YAML seed is
     return cfg
 
 
@@ -38,7 +39,7 @@ def _synthetic_frames(cfg: PipelineConfig):
 
 def cmd_ingest(args) -> int:
     cfg = _load_cfg(args)
-    data = Path(cfg.data_dir or args.data or ".")
+    data = Path(args.data or ".")
     calib = kitti.read_calib_file(data / "calib" / f"{args.frame}.txt")
     pc = kitti.read_velodyne(data / "velodyne" / f"{args.frame}.bin")
     labels = kitti.read_label_file(data / "label_2" / f"{args.frame}.txt", calib)

@@ -20,6 +20,32 @@ from .synthetic import SceneSpec
 from .voxels import VoxelSpec
 
 
+def _check_fields(section: str, params, rules) -> None:
+    """Raise ConfigError naming the first field of params whose value fails
+    its test; rules are (field, test, what the test needs). Each test is
+    written so that NaN fails it too."""
+    for name, ok, need in rules:
+        value = getattr(params, name)
+        if not ok(value):
+            raise ConfigError(f"{section}.{name} {value!r} must be {need}")
+
+
+def _real(test):
+    return lambda v: isinstance(v, numbers.Real) and test(v)
+
+
+def _integer(low: int):
+    return lambda v: isinstance(v, numbers.Integral) and v >= low
+
+
+def _integers(v) -> bool:
+    return isinstance(v, (tuple, list)) and all(_integer(0)(e) for e in v)
+
+
+_POSITIVE = _real(lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _real(lambda v: 0 <= v < math.inf)
+
+
 @dataclass
 class AnchorParams:
     sizes: tuple = ((1.6, 1.7, 1.5),)
@@ -42,6 +68,12 @@ class NetParams:
     refiner_pointnet: tuple = (256, 512)
     refiner_head: tuple = (256,)
 
+    def __post_init__(self):
+        # the refiner's widths are checked by the RefinerConfig that validate builds
+        _check_fields("net", self, (
+            ("width_mult", _POSITIVE, "finite and > 0"),
+            ("encoder_channels", _integer(1), "an integer >= 1")))
+
 
 @dataclass
 class PostParams:
@@ -52,17 +84,12 @@ class PostParams:
     crop_margin: float = 0.3
 
     def __post_init__(self):
-        # each test is written so that NaN fails it too
-        for name, ok, need in (
-                ("score_thresh", lambda v: 0 <= v <= 1, "in [0, 1]"),
-                ("nms_iou", lambda v: 0 <= v <= 1, "in [0, 1]"),
-                ("top_k", lambda v: isinstance(v, numbers.Integral) and v >= 1,
-                 "an integer >= 1"),
-                ("refiner_pos_iou", lambda v: 0 <= v < 1, "in [0, 1)"),
-                ("crop_margin", lambda v: 0 <= v < math.inf, "finite and >= 0")):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and ok(value)):
-                raise ConfigError(f"post.{name} {value!r} must be {need}")
+        _check_fields("post", self, (
+            ("score_thresh", _real(lambda v: 0 <= v <= 1), "in [0, 1]"),
+            ("nms_iou", _real(lambda v: 0 <= v <= 1), "in [0, 1]"),
+            ("top_k", _integer(1), "an integer >= 1"),
+            ("refiner_pos_iou", _real(lambda v: 0 <= v < 1), "in [0, 1)"),
+            ("crop_margin", _NON_NEGATIVE, "finite and >= 0")))
 
 
 @dataclass
@@ -76,7 +103,6 @@ class AugmentParams:
 
 @dataclass
 class TrainParams:
-    optimizer: str = "adam"
     lr: float = 0.01
     refiner_lr: float | None = None    # defaults to lr
     weight_decay: float = 1e-4
@@ -89,6 +115,19 @@ class TrainParams:
     # gt box into a plausible proposal; 0 disables
     refiner_jitter: int = 0
 
+    def __post_init__(self):
+        # zero epochs and zero jitter are legal: they train (or add) nothing
+        _check_fields("train", self, (
+            ("lr", _POSITIVE, "finite and > 0"),
+            ("refiner_lr", lambda v: v is None or _POSITIVE(v), "None or finite and > 0"),
+            ("weight_decay", _NON_NEGATIVE, "finite and >= 0"),
+            ("rpn_epochs", _integer(0), "an integer >= 0"),
+            ("rpn_decay_epochs", _integers, "a list of integers >= 0"),
+            ("refiner_epochs", _integer(0), "an integer >= 0"),
+            ("refiner_decay_epochs", _integers, "a list of integers >= 0"),
+            ("decay_factor", _real(lambda v: 0 < v <= 1), "in (0, 1]"),
+            ("refiner_jitter", _integer(0), "an integer >= 0")))
+
 
 @dataclass
 class SyntheticParams:
@@ -97,6 +136,17 @@ class SyntheticParams:
     clutter_points: int = 300
     surface_points: tuple = (120, 200)
     ground_z: float = -1.6
+
+    def __post_init__(self):
+        # n_objects is an inclusive range, surface_points a half-open one
+        _check_fields("synthetic", self, (
+            ("n_scenes", _integer(0), "an integer >= 0"),
+            ("n_objects", lambda v: _integers(v) and len(v) == 2 and v[0] <= v[1],
+             "two integers 0 <= low <= high"),
+            ("clutter_points", _integer(0), "an integer >= 0"),
+            ("surface_points", lambda v: _integers(v) and len(v) == 2 and v[0] < v[1],
+             "two integers 0 <= low < high"),
+            ("ground_z", _real(math.isfinite), "finite")))
 
     def scene_spec(self, axis_range) -> SceneSpec:
         return SceneSpec(axis_range=axis_range, n_objects=tuple(self.n_objects),
@@ -118,7 +168,6 @@ class PipelineConfig:
     train: TrainParams = field(default_factory=TrainParams)
     synthetic: SyntheticParams = field(default_factory=SyntheticParams)
     seed: int = 0
-    data_dir: str | None = None
 
     # ------------------------------------------------------------ derived
     def voxel_spec(self) -> VoxelSpec:
@@ -143,6 +192,11 @@ class PipelineConfig:
         return self.net_config().infer_shapes(self.voxel_spec().dims)["map_dims"]
 
     def validate(self) -> None:
+        if not _integer(0)(self.seed):
+            raise ConfigError(f"seed {self.seed!r} must be an integer >= 0")
+        for name in ("sizes", "angles_deg"):
+            if len(getattr(self.anchors, name)) == 0:
+                raise ConfigError(f"anchors.{name} must not be empty")
         spec = self.voxel_spec()
         self.anchors.spec()
         shapes = self.net_config().infer_shapes(spec.dims)

@@ -33,8 +33,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, EmptyProposal, ShapeMismatch
+from .voxels import VoxelGrid
 
 _NEG_BIG = -1e30  # masks empty point slots before max-pooling
+_BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+_BN_EPS = 1e-5
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -224,7 +227,8 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
     padded = tuple(s + 2 * p for s, p in zip(dims, padding))
     base, origin, out = _tap_table(padded, kernel, tuple(stride))
     cells = np.ravel_multi_index((coords + np.asarray(padding)).T, padded)
-    row_of, rows = np.full(int(np.prod(padded)), v), np.arange(v)
+    # V < 2**31 rows: an int32 map halves the largest array of the call
+    row_of, rows = np.full(int(np.prod(padded)), v, dtype=np.int32), np.arange(v)
     row_of[cells] = rows
     if np.any(row_of[cells] != rows):
         raise ShapeMismatch("repeated voxel coords")
@@ -274,27 +278,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
-              train: bool, channel_axis: int = 0, momentum: float = 0.1,
-              eps: float = 1e-5) -> Tensor:
-    """Normalize over all axes except channel_axis.
+              train: bool) -> Tensor:
+    """Normalize over every axis but the first, the channels.
 
     Train mode uses batch statistics and updates the running ones; eval
     mode uses the running statistics.
     """
-    c = x.shape[channel_axis]
-    bshape = tuple(c if i == channel_axis else 1 for i in range(len(x.shape)))
-    axes = tuple(i for i in range(len(x.shape)) if i != channel_axis)
+    c = x.shape[0]
+    bshape = (c,) + (1,) * (len(x.shape) - 1)
+    axes = tuple(range(1, len(x.shape)))
     if train:
         mu = x.mean(axis=axes, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=axes, keepdims=True)
-        xhat = xc * ((var + eps) ** -0.5)
+        xhat = xc * ((var + _BN_EPS) ** -0.5)
         rm, rv = stats[name + "/mean"], stats[name + "/var"]
-        stats[name + "/mean"] = (1 - momentum) * rm + momentum * mu.data.reshape(c)
-        stats[name + "/var"] = (1 - momentum) * rv + momentum * var.data.reshape(c)
+        stats[name + "/mean"] = (1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mu.data.reshape(c)
+        stats[name + "/var"] = (1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * var.data.reshape(c)
     else:
         mu = stats[name + "/mean"].reshape(bshape)
-        sd = np.sqrt(stats[name + "/var"].reshape(bshape) + eps)
+        sd = np.sqrt(stats[name + "/var"].reshape(bshape) + _BN_EPS)
         xhat = (x - mu) * (1.0 / sd)
     return scale.reshape(bshape) * xhat + shift.reshape(bshape)
 
@@ -475,14 +478,14 @@ class VoxelRPN:
         h = h + Tensor((~slot) * _NEG_BIG)
         return h.reshape(v, cap, c).max(axis=1)
 
-    def forward(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray,
-                dims: tuple, train: bool = False):
-        """Voxel grid (as for encode_voxels) -> (cls_map (H_f, W_f, A),
-        reg_map (H_f, W_f, A, 7), fused (C_F, X', Y'))."""
+    def forward(self, grid: VoxelGrid, train: bool = False):
+        """Voxel grid -> (cls_map (H_f, W_f, A), reg_map (H_f, W_f, A, 7),
+        fused (C_F, X', Y'))."""
         cfg = self.cfg
-        x = self.encode_voxels(slots, counts, coords)
+        x = self.encode_voxels(grid.points, grid.stored, grid.coords)
         # the first conv reads the voxel rows; its output map is dense
-        x = self._conv_bn_relu(conv_voxels, "rpn/conv3d0", cfg.conv3d[0], train, x, coords, dims)
+        x = self._conv_bn_relu(conv_voxels, "rpn/conv3d0", cfg.conv3d[0], train, x,
+                               grid.coords, grid.dims)
         for i, ly in enumerate(cfg.conv3d[1:], 1):
             x = self._conv_bn_relu(conv_nd, f"rpn/conv3d{i}", ly, train, x)
         if x.shape[3] != 1:

@@ -12,8 +12,11 @@ import math
 import numpy as np
 
 from . import geometry
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .geometry import Box3D, BoxBEV
+from .nn import batchnorm, conv_nd, conv_voxels, deconv_nd
+
+FD_STEP = 1e-5   # central-difference step of finite_diff_check
 
 
 # --------------------------------------------------------------- MC oracle
@@ -42,8 +45,7 @@ def mc_iou_bev(a: BoxBEV, b: BoxBEV, n_samples: int = 1_000_000, seed: int = 0) 
 
 
 # ------------------------------------------------------------- FD gradient
-def finite_diff_check(make_loss, params: list, n_coords: int = 5, step: float = 1e-5,
-                      seed: int = 0) -> float:
+def finite_diff_check(make_loss, params: list, n_coords: int = 5, seed: int = 0) -> float:
     """Compare analytic gradients of a scalar loss against central
     differences on randomly chosen parameter coordinates.
 
@@ -64,12 +66,12 @@ def finite_diff_check(make_loss, params: list, n_coords: int = 5, step: float = 
         for i in rng.choice(flat.size, size=k, replace=False):
             orig = flat[i]
             with no_grad():     # the probes only read the loss value
-                flat[i] = orig + step
+                flat[i] = orig + FD_STEP
                 hi = make_loss().item()
-                flat[i] = orig - step
+                flat[i] = orig - FD_STEP
                 lo = make_loss().item()
             flat[i] = orig
-            fd = (hi - lo) / (2 * step)
+            fd = (hi - lo) / (2 * FD_STEP)
             scale = max(abs(fd), abs(gflat[i]), 1e-8)
             worst = max(worst, abs(fd - gflat[i]) / scale)
     return worst
@@ -194,8 +196,6 @@ def run_selftest(quick: bool = True, report=print) -> bool:
             assert got == ref[:top_k], f"top_k {top_k}: kept sets differ"
 
     def conv_suite():
-        from .autodiff import Tensor
-        from .nn import conv_nd, conv_voxels
         # the toy config's conv3d1 and conv3d2, and a paper-width conv3d1
         # slab: several chunks without a graph, the last one narrower
         for k, (xs, ws, stride, padding) in enumerate((
@@ -228,6 +228,33 @@ def run_selftest(quick: bool = True, report=print) -> bool:
         ref = direct_conv(grid, w, b, (2, 2, 2), (1, 1, 1))
         err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert err <= 1e-12, f"conv_voxels: relative error {err} vs direct convolution"
+
+    def gradient_suite():
+        # the acceptance tests' gate: worst relative error <= 1e-4 on three
+        # coordinates of each parameter, on the loss (y * r).sum() of a fixed r
+        def case(name, op, shapes, seed):
+            rng = np.random.default_rng(seed)
+            params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+            r = rng.normal(size=op(*params).shape)
+            worst = finite_diff_check(lambda: (op(*params) * r).sum(), params,
+                                      n_coords=3, seed=seed)
+            assert worst <= 1e-4, f"{name}, seed {seed}: worst relative error {worst}"
+
+        dims = (4, 4, 3)
+        for seed in range(3 if quick else 30):
+            rng = np.random.default_rng(seed)
+            coords = np.stack(np.unravel_index(rng.choice(np.prod(dims), 6, replace=False),
+                                               dims), axis=1)
+            case("conv_nd", lambda x, w, b: conv_nd(x, w, b, (1, 1, 2), (1, 1, 1)),
+                 ((2, 4, 4, 5), (3, 2, 3, 3, 3), (3,)), seed)
+            case("conv_voxels",
+                 lambda x, w, b: conv_voxels(x, coords, dims, w, b, (2, 1, 2), (1, 1, 0)),
+                 ((6, 2), (3, 2, 3, 3, 2), (3,)), seed)
+            case("deconv_nd", lambda x, w, b: deconv_nd(x, w, b, (2, 2), (1, 1)),
+                 ((2, 3, 3), (3, 2, 3, 3), (3,)), seed)
+            case("batchnorm", lambda x, scale, shift: batchnorm(
+                x, scale, shift, {"n/mean": np.zeros(3), "n/var": np.ones(3)}, "n", train=True),
+                 ((3, 6), (3,), (3,)), seed)
 
     def ap_suite():
         ap = evalkit.average_precision(np.array([True]), np.array([False]), 2, "R11")
@@ -263,6 +290,8 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("rotated NMS vs brute force", nms_suite)
     suite("conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution",
           conv_suite)
+    suite("gradients of conv_nd, conv_voxels, deconv_nd and batchnorm vs finite differences",
+          gradient_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)
     return ok_all

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import geometry, losses, refiner_features
 from .anchors import assign_targets, build_anchor_grid, encode_corners
 from .autodiff import no_grad
@@ -17,9 +18,10 @@ from .errors import EmptyProposal
 from .kitti import PointCloud
 from .nn import Parameters, RefinerNet, VoxelRPN
 from .pipeline import select_proposals
+from .voxels import VoxelGrid, voxelize
 # bound here only so that the benchmark's tracer can patch them under train
 from .postprocess import nms_rotated  # noqa: F401
-from .voxels import slot_counts, to_dense, voxelize
+from .voxels import slot_counts, to_dense  # noqa: F401
 
 
 class DivergedLoss(RuntimeError):
@@ -32,6 +34,8 @@ def _is_weight(name: str) -> bool:
 
 
 class SGD:
+    """Plain gradient descent, kept only for the benchmark tracer's train.SGD.step."""
+
     def __init__(self, params: Parameters, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
@@ -51,12 +55,11 @@ class SGD:
 class Adam:
     """Adaptive-moment gradient descent (bias-corrected first/second moments)."""
 
-    def __init__(self, params: Parameters, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # moment decays; the denominator's floor
+
+    def __init__(self, params: Parameters, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(params.tensors[n].data) for n in params.names()}
@@ -71,19 +74,11 @@ class Adam:
             g = t.grad
             if self.weight_decay and _is_weight(name):
                 g = g + self.weight_decay * t.data
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / (1 - self.b1 ** self.t)
-            vhat = self.v[name] / (1 - self.b2 ** self.t)
-            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def make_optimizer(cfg: PipelineConfig, params: Parameters, lr: float):
-    if cfg.train.optimizer == "adam":
-        return Adam(params, lr, weight_decay=cfg.train.weight_decay)
-    if cfg.train.optimizer == "sgd":
-        return SGD(params, lr, weight_decay=cfg.train.weight_decay)
-    raise ValueError(f"unknown optimizer {cfg.train.optimizer!r}")
+            self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
+            mhat = self.m[name] / (1 - self.BETA1 ** self.t)
+            vhat = self.v[name] / (1 - self.BETA2 ** self.t)
+            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def _lr_at(base: float, epoch: int, decay_epochs, factor: float) -> float:
@@ -99,9 +94,7 @@ class PreparedFrame:
     frame_id: str
     pc: PointCloud
     gts: list
-    slots: np.ndarray       # (V, cap, 4) points of the occupied voxels
-    counts: np.ndarray      # (V,) stored points per voxel
-    coords: np.ndarray      # (V, 3) voxel indices
+    grid: VoxelGrid
     assignment: object
 
 
@@ -110,18 +103,14 @@ def prepare_frames(frames: list, cfg: PipelineConfig, anchor_set) -> list:
     spec = cfg.voxel_spec()
     out = []
     for i, (frame_id, pc, gts) in enumerate(frames):
-        grid = voxelize(pc, spec, seed=cfg.seed * 7919 + i)
         out.append(PreparedFrame(
-            frame_id, pc, gts, to_dense(grid), slot_counts(grid), grid.coords,
+            frame_id, pc, gts, voxelize(pc, spec, seed=cfg.seed * 7919 + i),
             assign_targets(anchor_set, gts, cfg.anchors.pos_iou, cfg.anchors.neg_iou)))
     return out
 
 
 def rpn_loss(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig, train: bool = True):
-    from . import autodiff as ad
-
-    cls_map, reg_map, _ = rpn.forward(frame.slots, frame.counts, frame.coords,
-                                      cfg.voxel_spec().dims, train=train)
+    cls_map, reg_map, _ = rpn.forward(frame.grid, train=train)
     probs = cls_map.reshape(-1)
     asn = frame.assignment
     pos_idx = asn.positive_indices
@@ -129,10 +118,8 @@ def rpn_loss(rpn: VoxelRPN, frame: PreparedFrame, cfg: PipelineConfig, train: bo
     pos_probs = ad.take(probs, pos_idx)
     neg_probs = ad.take(probs, neg_idx)
     loss_c = losses.cls_loss(pos_probs, neg_probs, cfg.loss)
-    deltas = reg_map.reshape(-1, 7)
     if len(pos_idx):
-        flat = (pos_idx[:, None] * 7 + np.arange(7)[None, :]).ravel()
-        pred = ad.take(deltas.reshape(-1), flat).reshape(len(pos_idx), 7)
+        pred = ad.take(reg_map.reshape(-1, 7), pos_idx)
         loss_r = losses.reg_loss_rpn(pred, asn.reg_targets[pos_idx], cfg.loss.sigma)
     else:
         loss_r = ad.Tensor(0.0)
@@ -145,7 +132,7 @@ def _fit(phase: str, params: Parameters, updates: list, loss_of, cfg: PipelineCo
     step per entry of updates, on the loss that loss_of(entry) builds, and
     logs the mean loss. A non-finite loss raises DivergedLoss before its
     step."""
-    opt = make_optimizer(cfg, params, base_lr)
+    opt = Adam(params, base_lr, weight_decay=cfg.train.weight_decay)
     for epoch in range(epochs):
         opt.lr = _lr_at(base_lr, epoch, decay_epochs, cfg.train.decay_factor)
         total = 0.0
@@ -209,8 +196,7 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
     cache = []
     for frame in prepared:
         with no_grad():
-            cls_map, reg_map, fused = (t.data for t in rpn.forward(
-                frame.slots, frame.counts, frame.coords, spec.dims, train=False))
+            cls_map, reg_map, fused = (t.data for t in rpn.forward(frame.grid, train=False))
         proposals = select_proposals(cls_map, reg_map, anchor_set, cfg.post)
         pairs = _refiner_training_pairs(proposals, frame, cfg)
         boxes = [(det.box, gt) for det, gt in pairs]

@@ -77,32 +77,45 @@ def test_perturb_moves_points_with_their_box():
     assert (moved.l, moved.w, moved.h) == (box.l, box.w, box.h)
 
 
-def test_perturb_rejects_colliding_poses():
+def collision_checks(monkeypatch):
+    """(candidate, other) BEV pairs of every collision check, recorded by
+    wrapping geometry.iou_bev, with the check's verdict."""
+    checks, iou_bev = [], geometry.iou_bev
+
+    def spy(a, b):
+        iou = iou_bev(a, b)
+        checks.append((a, b, iou > 0))
+        return iou
+
+    monkeypatch.setattr(geometry, "iou_bev", spy)
+    return checks
+
+
+def test_perturb_rejects_colliding_poses(monkeypatch):
     pc, box = scene_with_box()
-    # a second box so close that most jitters collide; trace records rejections
+    # a second box so close that most jitters collide
     other = Box3D(5.0, 4.0, 0.0, 4.0, 2.0, 1.5, 0.0)
-    trace = []
-    _, out_boxes = perturb_objects(pc, [box, other], seed=1, xy_sigma=3.0,
-                                   trace=trace)
+    monkeypatch.setattr(aug, "PERTURB_XY_SIGMA", 3.0)
+    checks = collision_checks(monkeypatch)
+    _, out_boxes = perturb_objects(pc, [box, other], seed=1)
+    monkeypatch.undo()
+    assert any(collides for _, _, collides in checks)
     for b in out_boxes:
         for c in out_boxes:
             if b is not c:
                 assert geometry.iou_bev(b.bev(), c.bev()) == 0.0
-    # every accepted pose in the trace is the last attempt for its object
-    for i, attempt, ok in trace:
-        assert isinstance(ok, bool)
 
 
-def test_perturb_gives_up_after_max_tries():
+def test_perturb_gives_up_after_max_tries(monkeypatch):
     pc, box = scene_with_box()
     # surround the box so every jitter collides
-    ring = [Box3D(5.0 + dx, 1.0 + dy, 0.0, 30.0, 30.0, 1.5, 0.0)
-            for dx, dy in [(0.01, 0.0)]]
-    trace = []
-    _, out = perturb_objects(pc, [box] + ring, seed=0, max_tries=4, trace=trace)
+    ring = Box3D(5.01, 1.0, 0.0, 30.0, 30.0, 1.5, 0.0)
+    monkeypatch.setattr(aug, "PERTURB_TRIES", 4)
+    checks = collision_checks(monkeypatch)
+    _, out = perturb_objects(pc, [box, ring], seed=0)
     # the small box cannot move without hitting the giant overlapping ring box
     assert np.allclose(out[0].as_array(), box.as_array())
-    assert sum(1 for i, a, ok in trace if i == 0) == 4
+    assert sum(1 for _, other, collides in checks if other == ring.bev() and collides) == 4
 
 
 def test_mixup_pastes_non_overlapping_entries():

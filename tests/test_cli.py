@@ -3,6 +3,7 @@ import pytest
 
 from fastpoint import cli
 from fastpoint.config import load_config, save_config, toy_config
+from fastpoint.errors import ConfigError
 from fastpoint.nn import RefinerNet, VoxelRPN
 from fastpoint.pipeline import infer_frame
 from fastpoint.postprocess import write_detections
@@ -85,10 +86,17 @@ def test_seed_override(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out = run(["selftest"], capsys)
     assert code == 0
-    assert out.count("PASS") == 8 and "FAIL" not in out
+    assert out.count("PASS") == 9 and "FAIL" not in out
     assert "PASS crop vs brute force" in out
     assert ("PASS conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution"
             in out)
+    assert ("PASS gradients of conv_nd, conv_voxels, deconv_nd and batchnorm vs finite "
+            "differences" in out)
+
+
+def test_negative_seed_flag_rejected():
+    with pytest.raises(ConfigError, match="seed -1 must be an integer >= 0"):
+        cli.main(["--seed", "-1", "targets"])
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -112,6 +112,46 @@ def test_unusable_post_and_refiner_settings_rejected_when_the_config_is_built(ra
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"train": {"rpn_epochs": 2.5}}, "train.rpn_epochs 2.5 .* integer >= 0"),
+    ({"train": {"rpn_epochs": -2}}, "train.rpn_epochs -2 .* integer >= 0"),
+    ({"train": {"refiner_jitter": -1}}, "train.refiner_jitter -1 .* integer >= 0"),
+    ({"train": {"lr": math.nan}}, "train.lr nan .* finite and > 0"),
+    ({"net": {"encoder_channels": -3}}, "net.encoder_channels -3 .* integer >= 1"),
+    ({"net": {"encoder_channels": 0}}, "net.encoder_channels 0 .* integer >= 1"),
+    ({"net": {"width_mult": math.nan}}, "net.width_mult nan .* finite and > 0"),
+    ({"net": {"width_mult": math.inf}}, "net.width_mult inf .* finite and > 0"),
+    ({"anchors": {"sizes": []}}, "anchors.sizes must not be empty"),
+    ({"anchors": {"angles_deg": []}}, "anchors.angles_deg must not be empty"),
+    ({"seed": 1.5}, "seed 1.5 .* integer >= 0"),
+    ({"seed": -1}, "seed -1 .* integer >= 0"),
+    ({"synthetic": {"n_objects": [3, 1]}}, r"synthetic.n_objects \(3, 1\) .* low <= high"),
+], ids=["fractional epochs", "negative epochs", "negative jitter", "nan lr",
+        "negative encoder width", "zero encoder width", "nan width", "infinite width",
+        "no anchor size", "no anchor angle", "fractional seed", "negative seed",
+        "object range reversed"])
+def test_unusable_training_net_and_scene_settings_rejected_when_the_config_loads(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
+def test_zero_epochs_scenes_and_jitter_load():
+    cfg = config_from_dict({"train": {"rpn_epochs": 0, "refiner_epochs": 0,
+                                      "refiner_jitter": 0},
+                            "synthetic": {"n_scenes": 0}})
+    assert (cfg.train.rpn_epochs, cfg.synthetic.n_scenes) == (0, 0)
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"train": {"optimizer": "adam"}}, r"unknown TrainParams keys: \['optimizer'\]"),
+    ({"data_dir": "d"}, r"unknown PipelineConfig keys: \['data_dir'\]"),
+], ids=["train.optimizer", "data_dir"])
+def test_removed_keys_are_unknown(raw, match):
+    # training always runs Adam, and `ingest --data` names the dataset root
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("field", ["gamma", "sigma"])
 def test_nan_loss_weight_rejected_when_the_config_loads(field):
     with pytest.raises(ValueError, match="gamma > 0, sigma > 0"):
@@ -119,8 +159,8 @@ def test_nan_loss_weight_rejected_when_the_config_loads(field):
 
 
 def test_top_level_keys_override_defaults():
-    cfg = config_from_dict({"max_points_per_voxel": 4, "seed": 9, "data_dir": "d"})
-    assert (cfg.max_points_per_voxel, cfg.seed, cfg.data_dir) == (4, 9, "d")
+    cfg = config_from_dict({"max_points_per_voxel": 4, "seed": 9})
+    assert (cfg.max_points_per_voxel, cfg.seed) == (4, 9)
     assert cfg.voxel_range == PipelineConfig().voxel_range
 
 

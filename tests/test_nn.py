@@ -16,6 +16,7 @@ from fastpoint.nn import (MissingCheckpoint, Parameters, RefinerConfig, RefinerN
                           reference_netconfig)
 from fastpoint.selfcheck import finite_diff_check
 from fastpoint.train import merge_parameters
+from fastpoint.voxels import VoxelGrid, VoxelSpec
 
 
 # ------------------------------------------------------------------ layers
@@ -76,10 +77,10 @@ def toy_conv_calls():
         calls.append((x.shape, w.shape, tuple(stride), tuple(padding)))
         return conv(x, w, b, stride, padding)
 
-    vox = make_voxels(np.random.default_rng(0), dims=cfg.voxel_spec().dims, n=400)
+    grid = make_grid(np.random.default_rng(0), dims=cfg.voxel_spec().dims, n=400)
     with pytest.MonkeyPatch.context() as m, ad.no_grad():
         m.setattr(nn, "conv_nd", spy)
-        VoxelRPN(cfg.net_config(), seed=0).forward(*vox)
+        VoxelRPN(cfg.net_config(), seed=0).forward(grid)
     return calls
 
 
@@ -366,7 +367,7 @@ def test_batchnorm_train_normalizes_and_updates_running():
     scale = Tensor(np.ones(4))
     shift = Tensor(np.zeros(4))
     stats = {"bn/mean": np.zeros(4), "bn/var": np.ones(4)}
-    out = batchnorm(x, scale, shift, stats, "bn", train=True, channel_axis=0)
+    out = batchnorm(x, scale, shift, stats, "bn", train=True)
     assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-9)
     assert np.allclose(out.data.std(axis=1), 1.0, atol=1e-3)
     assert not np.allclose(stats["bn/mean"], 0.0)
@@ -375,8 +376,7 @@ def test_batchnorm_train_normalizes_and_updates_running():
 def test_batchnorm_eval_uses_running_stats():
     x = Tensor(np.full((2, 3), 5.0))
     stats = {"bn/mean": np.array([5.0, 5.0]), "bn/var": np.array([1.0, 1.0])}
-    out = batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "bn",
-                    train=False, channel_axis=0)
+    out = batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "bn", train=False)
     assert np.allclose(out.data, 0.0, atol=1e-5)
 
 
@@ -428,6 +428,13 @@ def make_voxels(rng, dims=(16, 16, 20), cap=3, n=120):
     return slots, counts, np.array(keys, dtype=np.int64).reshape(-1, 3), dims
 
 
+def make_grid(rng, dims=(16, 16, 20), cap=3, n=120):
+    """make_voxels' voxels as the VoxelGrid of a grid of unit voxels."""
+    slots, counts, coords, dims = make_voxels(rng, dims, cap, n)
+    spec = VoxelSpec(tuple((0.0, float(d)) for d in dims), (1.0, 1.0, 1.0), cap)
+    return VoxelGrid(spec, coords, slots, counts)
+
+
 def reference_dense_encode(rpn, slots, counts, coords, dims):
     """The full-grid encoder the sparse one replaced: MLP over every slot of
     a dense (nx, ny, nz, cap, 4) tensor, masked max-pool, empty voxels zeroed."""
@@ -450,7 +457,7 @@ def reference_dense_encode(rpn, slots, counts, coords, dims):
 def test_voxelrpn_output_shapes_and_prob_range():
     rng = np.random.default_rng(6)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    cls_map, reg_map, fused = rpn.forward(*make_voxels(rng), train=False)
+    cls_map, reg_map, fused = rpn.forward(make_grid(rng), train=False)
     assert cls_map.shape == (4, 4, 4)
     assert reg_map.shape == (4, 4, 4, 7)
     assert fused.shape[1:] == (4, 4)
@@ -459,10 +466,10 @@ def test_voxelrpn_output_shapes_and_prob_range():
 
 def test_voxelrpn_deterministic_per_seed():
     rng = np.random.default_rng(7)
-    vox = make_voxels(rng)
-    a = VoxelRPN(tiny_cfg(), seed=1).forward(*vox, train=False)
-    b = VoxelRPN(tiny_cfg(), seed=1).forward(*vox, train=False)
-    c = VoxelRPN(tiny_cfg(), seed=2).forward(*vox, train=False)
+    grid = make_grid(rng)
+    a = VoxelRPN(tiny_cfg(), seed=1).forward(grid, train=False)
+    b = VoxelRPN(tiny_cfg(), seed=1).forward(grid, train=False)
+    c = VoxelRPN(tiny_cfg(), seed=2).forward(grid, train=False)
     assert np.array_equal(a[0].data, b[0].data)
     assert not np.array_equal(a[0].data, c[0].data)
 
@@ -533,14 +540,14 @@ def test_sparse_encoder_matches_dense_reference():
 
 def test_rpn_outputs_byte_equal_to_dense_encoder_path(monkeypatch):
     rng = np.random.default_rng(12)
-    vox = make_voxels(rng, dims=(32, 32, 20), n=400)
+    grid = make_grid(rng, dims=(32, 32, 20), n=400)
     sparse = VoxelRPN(tiny_cfg(), seed=3)
     dense = VoxelRPN(tiny_cfg(), seed=3)
     for train in (False, True):
-        got = sparse.forward(*vox, train=train)
+        got = sparse.forward(grid, train=train)
         with monkeypatch.context() as m:
             m.setattr(nn, "conv_voxels", dense_conv_voxels)
-            want = dense.forward(*vox, train=train)
+            want = dense.forward(grid, train=train)
         for g, w in zip(got, want):
             assert g.data.tobytes() == w.data.tobytes()
     for rpn, (cls_map, reg_map, _) in ((sparse, got), (dense, want)):
@@ -557,7 +564,7 @@ def test_rpn_outputs_byte_equal_to_dense_encoder_path(monkeypatch):
 def test_rpn_gradients_flow_to_all_parameters():
     rng = np.random.default_rng(10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    cls_map, reg_map, _ = rpn.forward(*make_voxels(rng, dims=(32, 32, 20), n=400), train=True)
+    cls_map, reg_map, _ = rpn.forward(make_grid(rng, dims=(32, 32, 20), n=400), train=True)
     (cls_map.sum() + (reg_map * reg_map).sum()).backward()
     missing = [n for n in rpn.params.names()
                if rpn.params.tensors[n].grad is None
@@ -569,7 +576,7 @@ def test_rpn_gradients_flow_to_all_parameters():
 def test_backward_frees_the_rpn_graph():
     rng = np.random.default_rng(10)
     rpn = VoxelRPN(tiny_cfg(), seed=0)
-    cls_map, reg_map, fused = rpn.forward(*make_voxels(rng, dims=(32, 32, 20), n=400),
+    cls_map, reg_map, fused = rpn.forward(make_grid(rng, dims=(32, 32, 20), n=400),
                                           train=True)
     loss = cls_map.sum() + (reg_map * reg_map).sum()
     ref = weakref.ref(fused.data)   # Tensor has __slots__ and takes no weakref

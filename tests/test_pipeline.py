@@ -97,8 +97,7 @@ def test_select_proposals_is_shared_by_training_and_inference():
     rpn = VoxelRPN(cfg.net_config(), seed=0)
     anchor_set = build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(), cfg.voxel_spec())
     prepared = train.prepare_frames([(frame_id, pc, [])], cfg, anchor_set)[0]
-    cls_map, reg_map, _ = rpn.forward(prepared.slots, prepared.counts, prepared.coords,
-                                      cfg.voxel_spec().dims)
+    cls_map, reg_map, _ = rpn.forward(prepared.grid)
     got = select_proposals(cls_map.data, reg_map.data, anchor_set, cfg.post)
     assert 0 < len(got) <= cfg.post.top_k
     assert all(a.score >= b.score for a, b in zip(got, got[1:]))

@@ -15,8 +15,8 @@ from fastpoint.nn import Parameters, RefinerNet, VoxelRPN
 from fastpoint.postprocess import Detection
 from fastpoint.refiner_features import build_box_feature
 from fastpoint.synthetic import generate_dataset
-from fastpoint.train import (Adam, SGD, _jitter_proposal, _lr_at, make_optimizer,
-                             merge_parameters, prepare_frames, rpn_loss)
+from fastpoint.train import (Adam, SGD, _jitter_proposal, _lr_at, merge_parameters,
+                             prepare_frames, rpn_loss)
 
 
 def params_with(**named):
@@ -63,13 +63,6 @@ def test_lr_schedule_steps_down():
     assert _lr_at(1.0, 4, decay, 0.1) == 1.0
     assert _lr_at(1.0, 5, decay, 0.1) == pytest.approx(0.1)
     assert _lr_at(1.0, 8, decay, 0.1) == pytest.approx(0.01)
-
-
-def test_make_optimizer_rejects_unknown():
-    cfg = toy_config()
-    cfg.train.optimizer = "lion"
-    with pytest.raises(ValueError):
-        make_optimizer(cfg, Parameters(), 0.1)
 
 
 def test_jitter_proposal_overlaps_gt():
@@ -148,7 +141,7 @@ def test_rpn_and_refiner_gradients_pinned():
         rpn.params.zero_grad()
         refiner.params.zero_grad()
         rpn_loss(rpn, frame, cfg, train=True).backward()
-        fused = rpn.forward(frame.slots, frame.counts, frame.coords, spec.dims)[2].data
+        fused = rpn.forward(frame.grid)[2].data
         loss = Tensor(0.0)
         for gt in frame.gts:
             box = Box3D(gt.x + 0.2, gt.y - 0.1, gt.z, gt.l * 1.05, gt.w, gt.h, gt.theta + 0.1)
@@ -194,13 +187,13 @@ def test_non_finite_loss_raises_diverged_loss_before_any_step(monkeypatch, phase
     cfg = toy_config()
     prepared = one_prepared_frame(cfg)
     built, steps = [], []
-    make_optimizer = train.make_optimizer
+    adam_init = train.Adam.__init__
 
-    def spy(cfg, params, lr):
+    def spy(opt, params, lr, **kwargs):
         built.append(params)
-        return make_optimizer(cfg, params, lr)
+        adam_init(opt, params, lr, **kwargs)
 
-    monkeypatch.setattr(train, "make_optimizer", spy)
+    monkeypatch.setattr(train.Adam, "__init__", spy)
     adam_step = train.Adam.step
 
     def step(opt):
