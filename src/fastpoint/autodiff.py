@@ -2,7 +2,9 @@
 
 Only the operations needed by the detection networks are provided. Every
 primitive records a closure that maps the output gradient to parent
-gradients; ``Tensor.backward`` runs a topological sweep from a scalar loss.
+gradients; ``node`` records one for a layer computed outside this module,
+which keeps only what its backward needs. ``Tensor.backward`` runs a
+topological sweep from a scalar loss.
 Only leaf tensors (no parents, e.g. parameters) keep a ``.grad``; it
 accumulates across backward calls until ``zero_grad``.
 
@@ -223,11 +225,11 @@ class Tensor:
             out._backward = bwd
         return out
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.data.size if axis is None else np.prod(
             [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
         )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
     def max(self, axis: int):
         """Max along one axis; gradient routes to the first argmax."""
@@ -287,6 +289,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def node(parents, data, backward) -> Tensor:
+    """A tensor that a caller computed from parents. When a graph is
+    recorded, backward maps its gradient to one gradient (or None) per
+    parent; otherwise backward, with all that it holds, is dropped here."""
+    out = _make(tuple(parents), data)
+    if out._parents:
+        out._backward = backward
+    return out
+
+
 # ---------------------------------------------------------------- functions
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
@@ -333,16 +345,6 @@ def concat(tensors, axis=0) -> Tensor:
     return out
 
 
-def pad(x: Tensor, pad_width) -> Tensor:
-    """Zero padding; pad_width as for np.pad."""
-    x = as_tensor(x)
-    out = _make((x,), np.pad(x.data, pad_width))
-    if out._parents:
-        slices = tuple(slice(p[0], p[0] + s) for p, s in zip(pad_width, x.data.shape))
-        out._backward = lambda g: (g[slices],)
-    return out
-
-
 def _add_rows(rows: np.ndarray, indices: np.ndarray, size: int, row: tuple) -> np.ndarray:
     """A zero (size, *row) array into whose row indices[i] the block rows[i]
     is added; rows is shaped indices.shape + row. Repeated indices add in
@@ -367,7 +369,7 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def _add_planes(x: np.ndarray, table: np.ndarray, size: int) -> np.ndarray:
+def add_planes(x: np.ndarray, table: np.ndarray, size: int) -> np.ndarray:
     """A zero (C, size) array into whose cell table[i] of row c the entry
     x[c, i] is added; x is shaped (C, *table.shape). Repeated cells add in
     table order, one np.bincount per row."""
@@ -375,32 +377,6 @@ def _add_planes(x: np.ndarray, table: np.ndarray, size: int) -> np.ndarray:
     out = np.empty((len(x), size))
     for c, plane in enumerate(x):
         out[c] = np.bincount(flat, weights=plane.ravel(), minlength=size)
-    return out
-
-
-def take_planes(x: Tensor, table: np.ndarray) -> Tensor:
-    """Entries table of every row (channel plane) of the (C, P) x, shaped
-    (C, *table.shape). The adjoint of scatter_planes: backward adds each
-    gradient entry back into the cell it came from."""
-    x = as_tensor(x)
-    out = _make((x,), np.take(x.data, table, axis=1))
-    if out._parents:
-        size = x.data.shape[1]
-        out._backward = lambda g: (_add_planes(g, table, size),)
-    return out
-
-
-def scatter_planes(x: Tensor, table: np.ndarray, size: int) -> Tensor:
-    """Add x[c, i] into cell table[i] of row c of a zero (C, size) tensor;
-    x is shaped (C, *table.shape).
-
-    The adjoint of take_planes: repeated cells add in table order as
-    take_planes' backward adds; backward gathers the entries back.
-    """
-    x = as_tensor(x)
-    out = _make((x,), _add_planes(x.data, table, size))
-    if out._parents:
-        out._backward = lambda g: (np.take(g, table, axis=1),)
     return out
 
 

@@ -4,9 +4,13 @@ Everything runs on the float64 autodiff tensors from ``autodiff``.
 Convolutions are im2col gathers followed by a matmul; transposed
 convolution is their adjoint, a matmul whose products are scatter-added
 at the same im2col positions. Every channel plane is gathered (or
-scattered) through one tap table built per call, and without a graph a
-convolution multiplies bounded chunks of im2col columns. Layouts are
-channels-first for feature maps: (C, X, Y) and (C, X, Y, Z).
+scattered) through one tap table built per call, and a convolution
+multiplies bounded chunks of im2col columns. A recorded layer is one graph
+node that keeps only what its backward cannot cheaply recompute: a
+convolution keeps its input, not its im2col, and re-gathers each chunk in
+backward; batch norm + ReLU keeps per-channel statistics and has a
+closed-form backward. Layouts are channels-first for feature maps:
+(C, X, Y) and (C, X, Y, Z).
 
 The first-stage backbone is: per-point encoder MLP with max-pool per
 occupied voxel, six 3D conv layers collapsing Z to 1 (the first reads the
@@ -133,7 +137,7 @@ class _Builder:
 
 # ----------------------------------------------------------- conv machinery
 _GEMM_GROUP = 16  # a multiple of the output-row unroll of the BLAS dgemm kernels
-_CHUNK_BYTES = 4 << 20  # im2col bytes per product when conv_nd records no graph
+_CHUNK_BYTES = 4 << 20  # im2col bytes per product of conv_nd, forward and backward
 
 
 def _tap_table(padded, kernel, stride):
@@ -153,10 +157,13 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     """Cross-correlation. x: (Cin, *S); w: (Cout, Cin, *K); out: (Cout, *S').
 
     Every channel plane of the padded input is gathered through one tap
-    table into the (Cin * K, prod(S')) im2col, which the weights multiply.
-    When no graph is recorded the product runs over chunks of at most
-    _CHUNK_BYTES of im2col, whole groups of _GEMM_GROUP columns wide, so
-    each column is rounded as in the one product over all columns.
+    table into chunks of the (Cin * K, prod(S')) im2col, which the weights
+    multiply. A chunk holds at most _CHUNK_BYTES of columns, in whole groups
+    of _GEMM_GROUP columns, so each column is rounded as in the one product
+    over all columns. A recorded call keeps its input and no im2col: its
+    backward walks the same chunks, re-gathers each one's columns for the
+    weight gradient and scatter-adds the chunk's input gradient into the
+    window of padded cells that the chunk reads.
     """
     cin = x.shape[0]
     if w.shape[1] != cin:
@@ -165,22 +172,38 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     kernel = w.shape[2:]
     if any(s + 2 * p < k for s, p, k in zip(spatial, padding, kernel)):
         raise ShapeMismatch(f"kernel {kernel} larger than padded input {spatial}")
-    xp = ad.pad(x, ((0, 0),) + tuple((p, p) for p in padding))
-    base, origin, out_spatial = _tap_table(xp.shape[1:], tuple(kernel), tuple(stride))
-    planes = xp.reshape(cin, -1)
+    pads = ((0, 0),) + tuple((p, p) for p in padding)
+    padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
+    base, origin, out_spatial = _tap_table(padded, tuple(kernel), tuple(stride))
     cout, rows = w.shape[0], cin * len(base)
-    wm, bc = w.reshape(cout, rows), b.reshape(cout, 1)
-    if ad.recording(x, w, b):
-        # the backward reads every column: one product
-        cols = ad.take_planes(planes, base[:, None] + origin).reshape(rows, -1)
-        return (wm @ cols + bc).reshape((cout,) + out_spatial)
+    wm = w.data.reshape(cout, rows)
     step = max(1, _CHUNK_BYTES // (8 * rows * _GEMM_GROUP)) * _GEMM_GROUP
+    chunks = range(0, len(origin), step)
+
+    def columns(planes, j):
+        return np.take(planes, base[:, None] + origin[j:j + step], axis=1).reshape(rows, -1)
+
+    xp = np.pad(x.data, pads).reshape(cin, -1)
     out = np.empty((cout, len(origin)))
-    for j in range(0, len(origin), step):
+    for j in chunks:
         # one statement, so a chunk's columns are freed before the next is taken
-        out[:, j:j + step] = wm.data @ np.take(
-            planes.data, base[:, None] + origin[j:j + step], axis=1).reshape(rows, -1) + bc.data
-    return Tensor(out.reshape((cout,) + out_spatial))
+        out[:, j:j + step] = wm @ columns(xp, j) + b.data.reshape(cout, 1)
+
+    def backward(g):
+        g = g.reshape(cout, -1)
+        planes = np.pad(x.data, pads).reshape(cin, -1)
+        gx, gw = np.zeros_like(planes), np.zeros((cout, rows))
+        for j in chunks:
+            gj, o = g[:, j:j + step], origin[j:j + step]
+            gw += gj @ columns(planes, j).T
+            # the chunk's windows read the padded cells lo .. hi - 1
+            lo, hi = o[0], o[-1] + base[-1] + 1
+            gx[:, lo:hi] += ad.add_planes((wm.T @ gj).reshape(cin, len(base), -1),
+                                          base[:, None] + (o - lo), hi - lo)
+        inner = (slice(None),) + tuple(slice(p, p + s) for p, s in zip(padding, spatial))
+        return gx.reshape((cin,) + padded)[inner], gw.reshape(w.shape), g.sum(axis=1)
+
+    return ad.node((x, w, b), out.reshape((cout,) + out_spatial), backward)
 
 
 def _gemm_sites(used: np.ndarray) -> np.ndarray:
@@ -239,11 +262,24 @@ def conv_voxels(feats: Tensor, coords: np.ndarray, dims, w: Tensor, b: Tensor,
     reads = np.zeros(len(row_of), dtype=bool)
     reads[hit[hit >= 0]] = True
     sites = _gemm_sites(reads[origin])
-    planes = ad.concat([feats, Tensor(np.zeros((1, cin)))]).transpose((1, 0))
-    cols = ad.take_planes(planes, row_of[base[:, None] + origin[sites]])
-    cout = w.shape[0]
-    y = w.reshape(cout, -1) @ cols.reshape(cin * len(base), len(sites))
-    return (ad.scatter_planes(y, sites, len(origin)) + b.reshape(cout, 1)).reshape((cout,) + out)
+    # the node keeps this (K, sites) table of voxel rows, not the gathered
+    # columns: backward re-gathers them for the one weight-gradient product
+    table = row_of[base[:, None] + origin[sites]]
+    cout, rows = w.shape[0], cin * len(base)
+    wm = w.data.reshape(cout, rows)
+
+    def columns():
+        planes = np.concatenate([feats.data, np.zeros((1, cin))]).T
+        return np.take(planes, table, axis=1).reshape(rows, len(sites))
+
+    def backward(g):
+        g = g.reshape(cout, -1)
+        gy = np.take(g, sites, axis=1)
+        gplanes = ad.add_planes((wm.T @ gy).reshape(cin, len(base), -1), table, v + 1)
+        return gplanes.T[:v], (gy @ columns().T).reshape(w.shape), g.sum(axis=1)
+
+    y = ad.add_planes(wm @ columns(), sites, len(origin)) + b.data.reshape(cout, 1)
+    return ad.node((feats, w, b), y.reshape((cout,) + out), backward)
 
 
 def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
@@ -253,7 +289,9 @@ def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     x: (Cin, *S); w: (Cout, Cin, *K). The (Cout*K, Cin) taps times the
     (Cin, prod(S)) input are every product at once; each output plane sums
     them into its uncropped (S - 1) * s + K extent through the tap table
-    conv_nd would gather it with, and the padding is cropped.
+    conv_nd would gather it with, and the padding is cropped. A recorded
+    call keeps x and w, not the products: backward gathers the output
+    gradient through the same table.
     """
     cin, spatial = x.shape[0], x.shape[1:]
     cout, kernel, ndim = w.shape[0], tuple(w.shape[2:]), len(spatial)
@@ -264,42 +302,71 @@ def deconv_nd(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     full = tuple((s - 1) * st + k for s, st, k in zip(spatial, stride, kernel))
     if any(f - 2 * p < 1 for f, p in zip(full, padding)):
         raise ShapeMismatch(f"deconv of {spatial} by kernel {kernel} has no output")
-    taps = w.transpose((0,) + tuple(range(2, 2 + ndim)) + (1,)).reshape(-1, cin)
+    order = (0,) + tuple(range(2, 2 + ndim)) + (1,)     # (Cout, *K, Cin)
     base, origin, _ = _tap_table(full, kernel, tuple(stride))
-    prods = (taps @ x.reshape(cin, -1)).reshape(cout, len(base), len(origin))
-    y = ad.scatter_planes(prods, base[:, None] + origin, int(np.prod(full)))
-    crop = np.arange(y.shape[1]).reshape(full)[tuple(slice(p, f - p)
-                                                     for f, p in zip(full, padding))]
-    return ad.take_planes(y, crop) + b.reshape((cout,) + (1,) * ndim)
+    table, size = base[:, None] + origin, int(np.prod(full))
+    crop = np.arange(size).reshape(full)[tuple(slice(p, f - p) for f, p in zip(full, padding))]
+    axes = tuple(range(1, ndim + 1))
+
+    def taps():
+        return w.data.transpose(order).reshape(-1, cin)
+
+    def backward(g):
+        gp = np.take(ad.add_planes(g, crop, size), table, axis=1).reshape(cout * len(base), -1)
+        gw = (gp @ x.data.reshape(cin, -1).T).reshape(w.shape[:1] + kernel + (cin,))
+        return ((taps().T @ gp).reshape(x.shape), gw.transpose(np.argsort(order)),
+                g.sum(axis=axes))
+
+    prods = (taps() @ x.data.reshape(cin, -1)).reshape(cout, len(base), len(origin))
+    y = np.take(ad.add_planes(prods, table, size), crop, axis=1)
+    return ad.node((x, w, b), y + b.data.reshape((cout,) + (1,) * ndim), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x @ w + b
 
 
-def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
-              train: bool) -> Tensor:
-    """Normalize over every axis but the first, the channels.
+def batchnorm_relu(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
+                   train: bool) -> Tensor:
+    """relu(scale * xhat + shift), where xhat normalizes x over every axis
+    but the first, the channels.
 
-    Train mode uses batch statistics and updates the running ones; eval
-    mode uses the running statistics.
+    Train mode normalizes by the batch statistics and updates the running
+    ones; eval mode uses the running statistics. One graph node, which keeps
+    the per-channel mean and factor r = 1 / sd. Its backward recomputes
+    xhat from x, reads the ReLU mask off the output and is closed form:
+    dx = r * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) in train
+    mode, r * dxhat in eval mode.
     """
     c = x.shape[0]
     bshape = (c,) + (1,) * (len(x.shape) - 1)
     axes = tuple(range(1, len(x.shape)))
+    inv_n = 1.0 / (x.size // c)
     if train:
-        mu = x.mean(axis=axes, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=axes, keepdims=True)
-        xhat = xc * ((var + _BN_EPS) ** -0.5)
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+        xc = x.data + (-mu)
+        var = (xc * xc).sum(axis=axes, keepdims=True) * inv_n
+        r = (var + _BN_EPS) ** -0.5
+        xhat = xc * r
         rm, rv = stats[name + "/mean"], stats[name + "/var"]
-        stats[name + "/mean"] = (1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mu.data.reshape(c)
-        stats[name + "/var"] = (1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * var.data.reshape(c)
+        stats[name + "/mean"] = (1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mu.reshape(c)
+        stats[name + "/var"] = (1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * var.reshape(c)
     else:
         mu = stats[name + "/mean"].reshape(bshape)
-        sd = np.sqrt(stats[name + "/var"].reshape(bshape) + _BN_EPS)
-        xhat = (x - mu) * (1.0 / sd)
-    return scale.reshape(bshape) * xhat + shift.reshape(bshape)
+        r = 1.0 / np.sqrt(stats[name + "/var"].reshape(bshape) + _BN_EPS)
+        xhat = (x.data + (-mu)) * r
+    y = np.maximum(scale.data.reshape(bshape) * xhat + shift.data.reshape(bshape), 0.0)
+
+    def backward(g):
+        g = g * (y > 0)
+        xhat = (x.data + (-mu)) * r
+        gxhat = g * scale.data.reshape(bshape)
+        if train:
+            gxhat = gxhat - gxhat.sum(axis=axes, keepdims=True) * inv_n - xhat * (
+                (gxhat * xhat).sum(axis=axes, keepdims=True) * inv_n)
+        return gxhat * r, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return ad.node((x, scale, shift), y, backward)
 
 
 # ------------------------------------------------------------------ config
@@ -456,8 +523,8 @@ class VoxelRPN:
         """conv(*inputs, w, b, stride, padding) with the layer's weights under
         name, then its batch norm and a ReLU."""
         x = conv(*inputs, self._p(name + "/w"), self._p(name + "/b"), ly.stride, ly.padding)
-        return ad.relu(batchnorm(x, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
-                                 self.params.stats, name + "/bn", train))
+        return batchnorm_relu(x, self._p(name + "/bn/scale"), self._p(name + "/bn/shift"),
+                              self.params.stats, name + "/bn", train)
 
     def encode_voxels(self, slots: np.ndarray, counts: np.ndarray, coords: np.ndarray) -> Tensor:
         """Per-point MLP + masked max-pool over the occupied voxels:

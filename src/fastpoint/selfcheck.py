@@ -14,7 +14,7 @@ import numpy as np
 from . import geometry
 from .autodiff import Tensor, no_grad
 from .geometry import Box3D, BoxBEV
-from .nn import batchnorm, conv_nd, conv_voxels, deconv_nd
+from .nn import batchnorm_relu, conv_nd, conv_voxels, deconv_nd
 
 FD_STEP = 1e-5   # central-difference step of finite_diff_check
 
@@ -104,6 +104,21 @@ def direct_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride, padding) ->
         window = tuple(slice(t, t + st * (n - 1) + 1, st) for t, st, n in zip(tap, stride, out))
         y += np.tensordot(w[(slice(None), slice(None)) + tap], xp[(slice(None),) + window], 1)
     return y
+
+
+def one_product_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride,
+                     padding) -> np.ndarray:
+    """Cross-correlation as one product of the weights by the whole
+    (Cin * K, prod(S')) im2col, whose rows are strided slices of the padded
+    input (channel-major, taps in C order), as conv_nd's columns are."""
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in padding))
+    kernel = w.shape[2:]
+    out = tuple((s - k) // st + 1 for s, k, st in zip(xp.shape[1:], kernel, stride))
+    cols = np.stack([xp[(slice(None),) + tuple(slice(t, t + st * (n - 1) + 1, st)
+                                               for t, st, n in zip(tap, stride, out))]
+                     for tap in np.ndindex(*kernel)], axis=1)
+    y = w.reshape(len(w), -1) @ cols.reshape(-1, int(np.prod(out))) + b.reshape(-1, 1)
+    return y.reshape((len(w),) + out)
 
 
 def brute_force_points_in_box(points: np.ndarray, box: Box3D, margin: float) -> np.ndarray:
@@ -197,18 +212,17 @@ def run_selftest(quick: bool = True, report=print) -> bool:
 
     def conv_suite():
         # the toy config's conv3d1 and conv3d2, and a paper-width conv3d1
-        # slab: several chunks without a graph, the last one narrower
+        # slab: several chunks, the last one narrower
         for k, (xs, ws, stride, padding) in enumerate((
                 ((16, 32, 32, 10), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)),
                 ((16, 32, 32, 5), (16, 16, 3, 3, 3), (1, 1, 2), (1, 1, 1)),
                 ((64, 20, 22, 10), (64, 64, 3, 3, 3), (1, 1, 2), (1, 1, 1)))):
             rng = np.random.default_rng(10 + k)
-            x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in (xs, ws, ws[:1]))
-            whole = conv_nd(x, w, b, stride, padding).data
-            with no_grad():
-                chunked = conv_nd(x, w, b, stride, padding).data
+            x, w, b = (rng.normal(size=s) for s in (xs, ws, ws[:1]))
+            chunked = conv_nd(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+            whole = one_product_conv(x, w, b, stride, padding)
             assert chunked.tobytes() == whole.tobytes(), f"{xs}: chunks differ from one product"
-            ref = direct_conv(x.data, w.data, b.data, stride, padding)
+            ref = direct_conv(x, w, b, stride, padding)
             err = np.max(np.abs(whole - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, f"{xs}: relative error {err} vs direct convolution"
         # the toy config's conv3d0: a few hundred voxels and the grid's corners
@@ -252,9 +266,10 @@ def run_selftest(quick: bool = True, report=print) -> bool:
                  ((6, 2), (3, 2, 3, 3, 2), (3,)), seed)
             case("deconv_nd", lambda x, w, b: deconv_nd(x, w, b, (2, 2), (1, 1)),
                  ((2, 3, 3), (3, 2, 3, 3), (3,)), seed)
-            case("batchnorm", lambda x, scale, shift: batchnorm(
-                x, scale, shift, {"n/mean": np.zeros(3), "n/var": np.ones(3)}, "n", train=True),
-                 ((3, 6), (3,), (3,)), seed)
+            for train in (True, False):
+                stats = {"n/mean": rng.normal(size=3), "n/var": rng.uniform(0.5, 2.0, 3)}
+                case(f"batchnorm_relu (train={train})", lambda x, scale, shift: batchnorm_relu(
+                    x, scale, shift, dict(stats), "n", train), ((3, 6), (3,), (3,)), seed)
 
     def ap_suite():
         ap = evalkit.average_precision(np.array([True]), np.array([False]), 2, "R11")
@@ -290,7 +305,8 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("rotated NMS vs brute force", nms_suite)
     suite("conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution",
           conv_suite)
-    suite("gradients of conv_nd, conv_voxels, deconv_nd and batchnorm vs finite differences",
+    suite("gradients of conv_nd, conv_voxels, deconv_nd and batchnorm_relu (train and eval) "
+          "vs finite differences",
           gradient_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)

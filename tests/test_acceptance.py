@@ -17,7 +17,7 @@ from fastpoint.autodiff import Tensor
 from fastpoint.config import save_config, toy_config
 from fastpoint.evalkit import EvalConfig, EvalGt, average_precision, evaluate
 from fastpoint.geometry import Box3D
-from fastpoint.nn import (batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
+from fastpoint.nn import (batchnorm_relu, conv_nd, conv_voxels, deconv_nd, linear,
                           reference_netconfig)
 from fastpoint.postprocess import Detection, nms_rotated
 from fastpoint.selfcheck import (brute_force_nms, finite_diff_check, mc_iou_bev,
@@ -144,15 +144,21 @@ def test_gradients_deconv2d():
 
 
 def test_gradients_scatter():
+    # conv_voxels with one 1x1x1 identity tap is the scatter of voxel rows
+    # into the dense grid that the first 3D conv reads
+    dims = (4, 3, 2)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        cells = rng.permutation(7)[:4]
-        r = rng.normal(size=(3, 7))
-        _fd_case(lambda: ((ad.scatter_planes(x, cells, 7) * r) ** 2).sum(), [x], seed)
+        flat = rng.choice(int(np.prod(dims)), 5, replace=False)
+        coords = np.stack(np.unravel_index(flat, dims), axis=1)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        eye = Tensor(np.eye(3).reshape(3, 3, 1, 1, 1))
+        r = rng.normal(size=(3,) + dims)
+        _fd_case(lambda: ((conv_voxels(x, coords, dims, eye, Tensor(np.zeros(3)), (1, 1, 1),
+                                       (0, 0, 0)) * r) ** 2).sum(), [x], seed)
 
 
-def test_gradients_batchnorm():
+def _batchnorm_relu_cases(train):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
@@ -161,12 +167,21 @@ def test_gradients_batchnorm():
         # linear functional of the output: sum-of-squares is degenerate here
         # because the normalized activations have a fixed second moment
         r = rng.normal(size=(3, 6))
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
 
         def make():
-            stats = {"n/mean": np.zeros(3), "n/var": np.ones(3)}
-            return (batchnorm(x, scale, shift, stats, "n", train=True) * r).sum()
+            stats = {"n/mean": mean, "n/var": var}
+            return (batchnorm_relu(x, scale, shift, stats, "n", train) * r).sum()
 
         _fd_case(make, [x, scale, shift], seed)
+
+
+def test_gradients_batchnorm():
+    _batchnorm_relu_cases(train=True)
+
+
+def test_gradients_batchnorm_eval():
+    _batchnorm_relu_cases(train=False)
 
 
 def test_gradients_cls_loss():

@@ -108,16 +108,6 @@ def test_concat_grad_splits_by_input():
     assert np.array_equal(b.grad, np.arange(4, 10).reshape(3, 2))
 
 
-def test_pad_grad_is_interior_slice():
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
-    p = ad.pad(x, ((1, 1), (0, 2)))
-    assert p.shape == (4, 5)
-    w = np.zeros((4, 5))
-    w[1:3, 0:3] = 7.0
-    (p * w).sum().backward()
-    assert np.all(x.grad == 7.0)
-
-
 def test_take_scatter_adds_repeated_indices():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     ad.take(x, np.array([0, 0, 2])).sum().backward()
@@ -162,32 +152,27 @@ def test_take_gathers_rows_and_backward_adds_them():
     check_op(lambda ts: ((ad.take(ts[0], idx) * r) ** 2).sum(), [(4, 3)])
 
 
-def test_take_planes_and_scatter_planes_are_adjoint():
-    # <take(x), y> == <x, scatter(y)>; the table repeats cells and never reads cell 9
+def test_add_planes_is_the_adjoint_of_the_plane_gather():
+    # <take(x), y> == <x, add_planes(y)>; the table repeats cells and never reads cell 9
     rng = np.random.default_rng(6)
     table = rng.integers(0, 9, size=(4, 7))
     x, y = rng.normal(size=(3, 10)), rng.normal(size=(3, 4, 7))
-    took = ad.take_planes(Tensor(x), table).data
-    assert took.flags.c_contiguous and took.tobytes() == np.take(x, table, axis=1).tobytes()
-    spread = ad.scatter_planes(Tensor(y), table, 10).data
+    spread = ad.add_planes(y, table, 10)
     want = np.zeros((3, 10))
     for c in range(3):
         np.add.at(want[c], table.ravel(), y[c].ravel())
     assert spread.tobytes() == want.tobytes()
-    assert np.sum(took * y) == pytest.approx(np.sum(x * spread), rel=1e-12)
-    # each op's backward is the other op
-    xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
-    (ad.take_planes(xt, table) * Tensor(y)).sum().backward()
-    (ad.scatter_planes(yt, table, 10) * Tensor(x)).sum().backward()
-    assert xt.grad.tobytes() == spread.tobytes() and yt.grad.tobytes() == took.tobytes()
+    assert np.sum(np.take(x, table, axis=1) * y) == pytest.approx(np.sum(x * spread), rel=1e-12)
 
 
-def test_take_planes_and_scatter_planes_gradients():
-    table = np.array([[0, 3, 3], [5, 1, 0]])
-    r = np.random.default_rng(7).normal(size=(2, 2, 3))
-    s = np.random.default_rng(8).normal(size=(2, 6))
-    check_op(lambda ts: ((ad.take_planes(ts[0], table) * r) ** 2).sum(), [(2, 6)])
-    check_op(lambda ts: ((ad.scatter_planes(ts[0], table, 6) * s) ** 2).sum(), [(2, 2, 3)])
+def test_node_records_its_backward_only_with_a_graph():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = ad.node((x,), x.data * 3.0, lambda g: (g * 3.0,))
+    (y * y).sum().backward()
+    assert np.array_equal(x.grad, np.array([18.0, -36.0]))
+    with ad.no_grad():
+        z = ad.node((x,), x.data * 3.0, lambda g: (g * 3.0,))
+    assert z._parents == () and z._backward is None and not z.requires_grad
 
 
 def test_where_mask_selects_and_masks_gradient():

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from fastpoint import autodiff as ad
 from fastpoint import nn
+from fastpoint.anchors import build_anchor_grid
 from fastpoint.autodiff import Tensor
 from fastpoint.config import toy_config
 from fastpoint.errors import ConfigError, EmptyProposal, ShapeMismatch
 from fastpoint.nn import (MissingCheckpoint, Parameters, RefinerConfig, RefinerNet, VoxelRPN,
-                          batchnorm, conv_nd, conv_voxels, deconv_nd, linear,
+                          batchnorm_relu, conv_nd, conv_voxels, deconv_nd, linear,
                           reference_netconfig)
-from fastpoint.selfcheck import finite_diff_check
-from fastpoint.train import merge_parameters
+from fastpoint.selfcheck import finite_diff_check, one_product_conv
+from fastpoint.synthetic import generate_dataset
+from fastpoint.train import merge_parameters, prepare_frames, rpn_loss
 from fastpoint.voxels import VoxelGrid, VoxelSpec
 
 
@@ -85,8 +87,8 @@ def toy_conv_calls():
 
 
 def test_no_grad_conv_byte_equal_to_recorded_conv():
-    # without a graph conv_nd multiplies bounded chunks of columns; the
-    # recorded conv multiplies all of them at once
+    # conv_nd multiplies bounded chunks of columns, recorded or not, and
+    # equals the one product over all its columns byte for byte
     cases = sorted(set(toy_conv_calls()))
     assert len(cases) >= 6
     # a paper-width conv3d1 slab, whose last chunk is narrower than the
@@ -103,20 +105,77 @@ def test_no_grad_conv_byte_equal_to_recorded_conv():
         with ad.no_grad():
             got = conv_nd(x, w, b, stride, padding)
         assert got.data.tobytes() == recorded.data.tobytes(), (xs, ws, stride, padding)
+        whole = one_product_conv(x.data, w.data, b.data, stride, padding)
+        assert got.data.tobytes() == whole.tobytes(), (xs, ws, stride, padding)
+
+
+def test_no_grad_deconv_and_batchnorm_relu_byte_equal_to_recorded():
+    for x, w, b, stride, padding in deconv_cases(seed=4):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        recorded = deconv_nd(x, w, b, stride, padding)
+        assert recorded._parents
+        with ad.no_grad():
+            got = deconv_nd(x, w, b, stride, padding)
+        assert got.data.tobytes() == recorded.data.tobytes()
+    rng = np.random.default_rng(5)
+    x, scale, shift = (Tensor(rng.normal(size=s), requires_grad=True)
+                       for s in ((6, 9, 7, 2), (6,), (6,)))
+    for train in (True, False):
+        stats = {"bn/mean": rng.normal(size=6), "bn/var": rng.uniform(0.5, 2.0, 6)}
+        kept = dict(stats)
+        recorded = batchnorm_relu(x, scale, shift, stats, "bn", train)
+        assert recorded._parents
+        with ad.no_grad():
+            got = batchnorm_relu(x, scale, shift, kept, "bn", train)
+        assert got.data.tobytes() == recorded.data.tobytes()
+        assert all(stats[k].tobytes() == kept[k].tobytes() for k in stats)
+
+
+def conv_gradients(x, w, b, stride, padding, r):
+    """Output bytes and (x, w, b) gradients of the loss (conv_nd(...) * r).sum()."""
+    for t in (x, w, b):
+        t.zero_grad()
+    y = conv_nd(x, w, b, stride, padding)
+    (y * r).sum().backward()
+    return y.data.tobytes(), [t.grad for t in (x, w, b)]
+
+
+def test_conv_backward_across_chunks_matches_one_chunk(monkeypatch):
+    rng = np.random.default_rng(5)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((3, 9, 10, 4), (4, 3, 3, 3, 2), (4,)))
+    stride, padding = (1, 2, 1), (1, 1, 0)
+    r = rng.normal(size=(4, 9, 5, 3))
+    rows, sites = 3 * 18, 9 * 5 * 3
+    one_bytes, one = conv_gradients(x, w, b, stride, padding, r)
+    assert 8 * rows * sites < nn._CHUNK_BYTES          # one chunk by default
+    # chunks of 32 columns: four whole ones, then a partial chunk of 7
+    monkeypatch.setattr(nn, "_CHUNK_BYTES", 8 * rows * 2 * nn._GEMM_GROUP)
+    chunked_bytes, chunked = conv_gradients(x, w, b, stride, padding, r)
+    assert chunked_bytes == one_bytes
+    for g, want in zip(chunked, one):
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+    worst = finite_diff_check(lambda: (conv_nd(x, w, b, stride, padding) * r).sum(),
+                              [x, w, b], n_coords=6, seed=5)
+    assert worst < 1e-6, worst
+
+
+CONV3D1_SLAB = ((64, 64, 64, 10), (64, 64, 3, 3, 3), (1, 1, 2), (1, 1, 1))
 
 
 def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
     # conv3d1's kernel, stride and padding on a 64-channel 64 x 64 x 10 map:
     # its whole im2col would take 283 MB
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(64, 64, 64, 10)))
-    w = Tensor(rng.normal(size=(64, 64, 3, 3, 3)), requires_grad=True)
+    xs, ws, stride, padding = CONV3D1_SLAB
+    x = Tensor(rng.normal(size=xs))
+    w = Tensor(rng.normal(size=ws), requires_grad=True)
     b = Tensor(np.zeros(64), requires_grad=True)
     padded, out = 64 * 66 * 66 * 12 * 8, 64 * (64 * 64 * 5) * 8
     tracemalloc.start()
     try:
         with ad.no_grad():
-            y = conv_nd(x, w, b, (1, 1, 2), (1, 1, 1))
+            y = conv_nd(x, w, b, stride, padding)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -126,13 +185,57 @@ def test_no_grad_conv_memory_is_bounded_by_the_chunk_budget():
     assert peak < padded + out + nn._CHUNK_BYTES + (1 << 20), peak
 
 
+def test_recorded_conv_memory_is_bounded_by_the_chunk_budget():
+    # the same conv recorded, then its backward: no im2col is kept between
+    # them, and the backward re-gathers one chunk of columns at a time
+    rng = np.random.default_rng(0)
+    xs, ws, stride, padding = CONV3D1_SLAB
+    x = Tensor(rng.normal(size=xs), requires_grad=True)
+    w = Tensor(rng.normal(size=ws), requires_grad=True)
+    b = Tensor(np.zeros(64), requires_grad=True)
+    padded, out, weights = 64 * 66 * 66 * 12 * 8, 64 * (64 * 64 * 5) * 8, 64 * 64 * 27 * 8
+    tracemalloc.start()
+    try:
+        y = conv_nd(x, w, b, stride, padding)
+        graph = tracemalloc.get_traced_memory()[0]
+        y.sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == xs and w.grad.shape == ws
+    assert graph < out + (1 << 20), graph
+    # the re-padded input, the output, the gradients of output, padded
+    # input and weights, and two chunks (columns and their gradient); the
+    # chunk's window of input cells, tables and sums take < 2 MiB
+    assert peak < padded + out + (out + padded + 3 * weights) + 2 * nn._CHUNK_BYTES + (2 << 20), \
+        peak
+
+
+def test_toy_rpn_graph_keeps_no_im2col_or_batchnorm_intermediates():
+    cfg = toy_config()
+    frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, cfg.seed)
+    frame = prepare_frames(frames, cfg, build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(),
+                                                          cfg.voxel_spec()))[0]
+    rpn = VoxelRPN(cfg.net_config(), seed=cfg.seed)
+    tracemalloc.start()
+    try:
+        loss = rpn_loss(rpn, frame, cfg, train=True)
+        graph = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    loss.backward()
+    # 77 MB when each conv kept its im2col and batch norm its intermediates
+    assert graph <= 24e6, graph
+
+
 # ------------------------------------------------------------- conv_voxels
 def scatter_grid(feats, coords, dims):
     """The grid conv_voxels convolves: feats row i at coords[i], zero
     elsewhere, channels first (C, *dims)."""
-    flat = np.ravel_multi_index(coords.T, dims)
-    return ad.scatter_planes(feats.transpose((1, 0)), flat, int(np.prod(dims))).reshape(
-        (feats.shape[1],) + tuple(dims))
+    row_of = np.full(int(np.prod(dims)), len(coords))
+    row_of[np.ravel_multi_index(coords.T, dims)] = np.arange(len(coords))
+    rows = ad.concat([feats, Tensor(np.zeros((1, feats.shape[1])))])
+    return ad.take(rows, row_of).transpose((1, 0)).reshape((feats.shape[1],) + tuple(dims))
 
 
 def dense_conv_voxels(feats, coords, dims, w, b, stride, padding):
@@ -365,19 +468,51 @@ def test_batchnorm_train_normalizes_and_updates_running():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(3.0, 2.0, size=(4, 50)))
     scale = Tensor(np.ones(4))
-    shift = Tensor(np.zeros(4))
+    shift = Tensor(np.full(4, 10.0))       # lifts every output above the ReLU's cut
     stats = {"bn/mean": np.zeros(4), "bn/var": np.ones(4)}
-    out = batchnorm(x, scale, shift, stats, "bn", train=True)
-    assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-9)
+    out = batchnorm_relu(x, scale, shift, stats, "bn", train=True)
+    assert np.allclose(out.data.mean(axis=1), 10.0, atol=1e-9)
     assert np.allclose(out.data.std(axis=1), 1.0, atol=1e-3)
     assert not np.allclose(stats["bn/mean"], 0.0)
 
 
 def test_batchnorm_eval_uses_running_stats():
-    x = Tensor(np.full((2, 3), 5.0))
-    stats = {"bn/mean": np.array([5.0, 5.0]), "bn/var": np.array([1.0, 1.0])}
-    out = batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "bn", train=False)
-    assert np.allclose(out.data, 0.0, atol=1e-5)
+    x = Tensor(np.array([[5.0, 6.0, 4.0], [5.0, 5.0, 7.0]]))
+    stats = {"bn/mean": np.array([5.0, 5.0]), "bn/var": np.array([1.0, 4.0])}
+    out = batchnorm_relu(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "bn", train=False)
+    sd = np.sqrt(np.array([[1.0], [4.0]]) + nn._BN_EPS)
+    assert np.allclose(out.data, np.maximum((x.data - 5.0) / sd, 0.0), atol=1e-12)
+    assert out.data[0, 2] == 0.0 and out.data[0, 1] > 0.0
+
+
+def test_batchnorm_relu_backward_matches_the_chain_of_ops():
+    # the closed form against batch norm and ReLU composed of autodiff ops
+    rng = np.random.default_rng(9)
+    x, scale, shift = (Tensor(rng.normal(size=s), requires_grad=True)
+                       for s in ((5, 8, 6), (5,), (5,)))
+    r = rng.normal(size=(5, 8, 6))
+    for train in (True, False):
+        stats = {"bn/mean": rng.normal(size=5), "bn/var": rng.uniform(0.5, 2.0, 5)}
+        if train:
+            mu = x.sum(axis=(1, 2), keepdims=True) * (1.0 / 48)
+            xc = x - mu
+            var = (xc * xc).sum(axis=(1, 2), keepdims=True) * (1.0 / 48)
+            xhat = xc * ((var + nn._BN_EPS) ** -0.5)
+        else:
+            xhat = (x - stats["bn/mean"].reshape(5, 1, 1)) * (
+                1.0 / np.sqrt(stats["bn/var"].reshape(5, 1, 1) + nn._BN_EPS))
+        chain = ad.relu(scale.reshape(5, 1, 1) * xhat + shift.reshape(5, 1, 1))
+        (chain * r).sum().backward()
+        want = [t.grad for t in (x, scale, shift)]
+        for t in (x, scale, shift):
+            t.zero_grad()
+        got = batchnorm_relu(x, scale, shift, stats, "bn", train)
+        assert got.data.tobytes() == chain.data.tobytes()
+        (got * r).sum().backward()
+        for t, g in zip((x, scale, shift), want):
+            assert np.allclose(t.grad, g, rtol=1e-12, atol=1e-13)
+        for t in (x, scale, shift):
+            t.zero_grad()
 
 
 # --------------------------------------------------------------- NetConfig

@@ -129,7 +129,15 @@ def test_rpn_and_refiner_gradients_pinned():
     # entries of refiner/pn1/bn/{scale,shift} now read -0.0. Re-pinned when
     # the attention gate came to run once per BEV cell: refiner/att/{w,b}
     # now sum their gradient per cell before summing over cells, which moved
-    # them by <= 3.3e-16 of each tensor's largest entry; no other value moved
+    # them by <= 3.3e-16 of each tensor's largest entry; no other value moved.
+    # Re-pinned when conv_nd came to re-gather its columns in backward and
+    # batch norm + ReLU became one node with a closed-form backward: dW sums
+    # over chunks of columns and dx adds chunk by chunk, and the batch-norm
+    # input gradient is r * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    # instead of the chain of its ops. The RPN gradients moved by <= 3.6e-15
+    # of each tensor's largest entry (the conv biases before batch norm,
+    # whose exact gradient is 0, by <= 9.1e-13 absolute); the heads' and the
+    # refiner's did not move
     cfg = toy_config()
     spec = cfg.voxel_spec()
     frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 2, cfg.seed)
@@ -152,7 +160,21 @@ def test_rpn_and_refiner_gradients_pinned():
         for name, t in sorted({**rpn.params.tensors, **refiner.params.tensors}.items()):
             digest.update(name.encode() + (b"none" if t.grad is None else t.grad.tobytes()))
     assert digest.hexdigest() == (
-        "acb11b2794fa5ce0b68f2808ca6f254aedf7a8d283245e7d40d561f3784cf268")
+        "4cd6685e5d080193f98cdb5326fe2dead73b9cb82b7b127cc452605722762dd0")
+
+
+def test_train_mode_rpn_loss_and_running_statistics_pinned():
+    # forward bytes: no change to a layer's backward may move them
+    cfg = toy_config()
+    frame = one_prepared_frame(cfg)[0]
+    rpn = VoxelRPN(cfg.net_config(), seed=cfg.seed)
+    loss = rpn_loss(rpn, frame, cfg, train=True)
+    digest = hashlib.sha256(loss.data.tobytes())
+    for name, v in sorted(rpn.params.stats.items()):
+        digest.update(name.encode() + v.tobytes())
+    assert loss.item() == 12.149102490551911
+    assert digest.hexdigest() == (
+        "f96ea0b8bb6781dd57f9d44ead789ccd0fbe1955bd122779617bfe29d9706ee7")
 
 
 def one_prepared_frame(cfg):
