@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .errors import ConfigError
 from .geometry import Box3D, normalize_angle
 from .voxels import VoxelSpec
 
@@ -36,12 +37,12 @@ class AnchorSpec:
     def __post_init__(self):
         for i, size in enumerate(self.sizes):
             if len(size) != 3 or not all(0 < s < math.inf for s in size):
-                raise ValueError(f"anchor size {i} {size} must be three finite, positive "
-                                 f"entries (l, w, h)")
+                raise ConfigError(f"anchor size {i} {size} of sizes must be three finite, "
+                                  f"positive entries (l, w, h)")
         for i, a in enumerate(self.angles):
             for b in self.angles[i + 1:]:
                 if abs(normalize_angle(a - b)) % math.pi < 1e-9:
-                    raise ValueError("anchor angles must be distinct modulo pi")
+                    raise ConfigError(f"anchor angles {self.angles} must be distinct modulo pi")
 
     def diagonals(self) -> np.ndarray:
         # d_a = sqrt(l^2 + w^2), the anchor BEV diagonal

@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Only the operations needed by the detection networks are provided. Every
+Only the operations that the detection networks use are provided. Every
 primitive records a closure that maps the output gradient to parent
-gradients; ``node`` records one for a layer computed outside this module,
-which keeps only what its backward needs. ``Tensor.backward`` runs a
+gradients; ``node`` records one for a layer or loss computed outside this
+module (the convolutions, batch norm + ReLU and the three losses), which
+keeps only what its backward needs. ``Tensor.backward`` runs a
 topological sweep from a scalar loss.
 Only leaf tensors (no parents, e.g. parameters) keep a ``.grad``; it
 accumulates across backward calls until ``zero_grad``.
@@ -158,18 +159,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = _make((self,), -self.data)
-        if out._parents:
-            out._backward = lambda g: (-g,)
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = _make((self, other), self.data * other.data)
@@ -182,21 +171,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        return self * other ** -1.0
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) * self ** -1.0
-
-    def __pow__(self, p):
-        assert np.isscalar(p)
-        out = _make((self,), self.data ** p)
-        if out._parents:
-            a = self
-            out._backward = lambda g: (g * p * a.data ** (p - 1),)
-        return out
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -212,24 +186,12 @@ class Tensor:
         return out
 
     # ------------------------------------------------------------ reductions
-    def sum(self, axis=None, keepdims=False):
-        out = _make((self,), self.data.sum(axis=axis, keepdims=keepdims))
+    def sum(self):
+        out = _make((self,), self.data.sum())
         if out._parents:
             shape = self.data.shape
-
-            def bwd(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                return (np.broadcast_to(g, shape).copy(),)
-
-            out._backward = bwd
+            out._backward = lambda g: (np.broadcast_to(g, shape).copy(),)
         return out
-
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis) * (1.0 / n)
 
     def max(self, axis: int):
         """Max along one axis; gradient routes to the first argmax."""
@@ -264,14 +226,6 @@ class Tensor:
             out._backward = lambda g: (g.transpose(inv),)
         return out
 
-    def clip(self, lo, hi):
-        """Clamp values; gradient is zero outside [lo, hi]."""
-        out = _make((self,), np.clip(self.data, lo, hi))
-        if out._parents:
-            mask = (self.data >= lo) & (self.data <= hi)
-            out._backward = lambda g: (g * mask,)
-        return out
-
 
 def recording(*tensors) -> bool:
     """Whether an op on these tensors records a graph node: grad mode is on
@@ -300,14 +254,6 @@ def node(parents, data, backward) -> Tensor:
 
 
 # ---------------------------------------------------------------- functions
-def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = _make((x,), np.log(x.data))
-    if out._parents:
-        out._backward = lambda g: (g / x.data,)
-    return out
-
-
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
@@ -323,15 +269,6 @@ def relu(x: Tensor) -> Tensor:
     if out._parents:
         mask = x.data > 0
         out._backward = lambda g: (g * mask,)
-    return out
-
-
-def absolute(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = _make((x,), np.abs(x.data))
-    if out._parents:
-        s = np.sign(x.data)
-        out._backward = lambda g: (g * s,)
     return out
 
 
@@ -377,17 +314,4 @@ def add_planes(x: np.ndarray, table: np.ndarray, size: int) -> np.ndarray:
     out = np.empty((len(x), size))
     for c, plane in enumerate(x):
         out[c] = np.bincount(flat, weights=plane.ravel(), minlength=size)
-    return out
-
-
-def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select a where mask else b. The mask is constant (non-differentiable)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = _make((a, b), np.where(mask, a.data, b.data))
-    if out._parents:
-        a_shape, b_shape = a.data.shape, b.data.shape
-        out._backward = lambda g: (
-            _unbroadcast(g * mask, a_shape),
-            _unbroadcast(g * ~mask, b_shape),
-        )
     return out

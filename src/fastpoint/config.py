@@ -54,6 +54,13 @@ class AnchorParams:
     pos_iou: float = 0.6
     neg_iou: float = 0.45
 
+    def __post_init__(self):
+        # sizes and angles are checked by the AnchorSpec that validate builds
+        _check_fields("anchors", self, (
+            ("z_center", _real(math.isfinite), "finite"),
+            ("pos_iou", _real(lambda v: 0 < v <= 1), "in (0, 1]"),
+            ("neg_iou", _real(lambda v: 0 <= v < 1), "in [0, 1)")))
+
     def spec(self) -> AnchorSpec:
         return AnchorSpec(tuple(tuple(s) for s in self.sizes),
                           tuple(math.radians(a) for a in self.angles_deg),
@@ -99,6 +106,16 @@ class AugmentParams:
     scale_range: tuple = (0.95, 1.05)
     global_rot_deg: float = 45.0
     object_rot_deg: float = 18.0
+
+    def __post_init__(self):
+        _check_fields("augment", self, (
+            ("mixup_objects", _integer(0), "an integer >= 0"),
+            ("flip_prob", _real(lambda v: 0 <= v <= 1), "in [0, 1]"),
+            ("scale_range", lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+             and all(_real(math.isfinite)(e) for e in v) and 0 < v[0] <= v[1],
+             "two finite values 0 < low <= high"),
+            ("global_rot_deg", _NON_NEGATIVE, "finite and >= 0"),
+            ("object_rot_deg", _NON_NEGATIVE, "finite and >= 0")))
 
 
 @dataclass

@@ -2,19 +2,24 @@
 normalization and hard-negative mining, smooth L1 regression, and the
 canonized corner loss.
 
-All functions accept autodiff Tensors (or arrays, promoted to constants)
-and return scalar Tensors so they can sit at the top of a backward pass.
+Each loss accepts autodiff Tensors (or arrays, promoted to constants) and
+returns one scalar ``autodiff.node`` whose backward is closed form, so it
+can sit at the top of a backward pass. ``bce`` and ``smooth_l1`` are the
+numpy helpers behind them: each returns its elementwise value together
+with the derivative of that value.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 
 PROB_EPS = 1e-7  # log is undefined at {0, 1}
 
@@ -27,48 +32,60 @@ class LossConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not self.gamma > 0 or not self.sigma > 0 or self.ohem_keep < 1:
-            raise ValueError("gamma > 0, sigma > 0, ohem_keep >= 1 required")
+        for name in ("gamma", "sigma"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ConfigError(f"loss.{name} {value!r} must be finite and > 0")
+        if not (isinstance(self.ohem_keep, numbers.Integral) and self.ohem_keep >= 1):
+            raise ConfigError(f"loss.ohem_keep {self.ohem_keep!r} must be an integer >= 1")
 
 
-def bce(p, t) -> Tensor:
-    """-(t log p + (1-t) log(1-p)), elementwise, with probability clamping."""
-    p = ad.as_tensor(p).clip(PROB_EPS, 1.0 - PROB_EPS)
+def bce(p: np.ndarray, t) -> tuple:
+    """-(t log p + (1-t) log(1-p)) elementwise, with p clamped to
+    [PROB_EPS, 1 - PROB_EPS], and its derivative in p, which is zero where
+    the clamp bites."""
+    q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     t = np.asarray(t, dtype=np.float64)
-    return -(t * ad.log(p) + (1.0 - t) * ad.log(1.0 - p))
+    value = -(t * np.log(q) + (1.0 - t) * np.log(1.0 - q))
+    inside = (p >= PROB_EPS) & (p <= 1.0 - PROB_EPS)
+    return value, ((1.0 - t) / (1.0 - q) - t / q) * inside
 
 
 def cls_loss(pos_probs, neg_probs, cfg: LossConfig) -> Tensor:
     """Mean positive BCE plus gamma-weighted mean over the kept hardest negatives.
 
     Kept negatives are the ohem_keep largest-loss ones (ties broken by
-    index); each term is normalized by its own count.
+    index); each term is normalized by its own count, and only the kept
+    negatives receive gradient.
     """
-    pos_probs = ad.as_tensor(pos_probs)
-    neg_probs = ad.as_tensor(neg_probs)
-    total = Tensor(0.0)
+    pos_probs, neg_probs = ad.as_tensor(pos_probs), ad.as_tensor(neg_probs)
+    total = 0.0
+    d_pos = np.zeros(pos_probs.shape)
+    d_neg = np.zeros(neg_probs.shape)
     n_pos = pos_probs.size
     if n_pos > 0:
-        total = total + bce(pos_probs, np.ones(n_pos)).sum() * (1.0 / n_pos)
+        value, deriv = bce(pos_probs.data, 1.0)
+        total = total + value.sum() * (1.0 / n_pos)
+        d_pos = deriv * (1.0 / n_pos)
     n_neg = neg_probs.size
     if n_neg > 0:
-        neg_losses = bce(neg_probs, np.zeros(n_neg))
+        value, deriv = bce(neg_probs.data, 0.0)
         keep = min(cfg.ohem_keep, n_neg)
         # stable argsort on descending loss -> ties broken by index
-        hardest = np.argsort(-neg_losses.data, kind="stable")[:keep]
-        kept = ad.take(neg_losses, hardest)
-        total = total + kept.sum() * (cfg.gamma / keep)
-    return total
+        hardest = np.argsort(-value, kind="stable")[:keep]
+        total = total + value[hardest].sum() * (cfg.gamma / keep)
+        d_neg[hardest] = deriv[hardest] * (cfg.gamma / keep)
+    return ad.node((pos_probs, neg_probs), total, lambda g: (g * d_pos, g * d_neg))
 
 
-def smooth_l1(x, sigma: float) -> Tensor:
-    """0.5 (sigma x)^2 below |x| = 1/sigma^2, |x| - 0.5/sigma^2 beyond."""
-    x = ad.as_tensor(x)
-    a = ad.absolute(x)
+def smooth_l1(x: np.ndarray, sigma: float) -> tuple:
+    """0.5 (sigma x)^2 below |x| = 1/sigma^2, |x| - 0.5/sigma^2 beyond,
+    elementwise, and its derivative: sigma^2 x below the cut, sign(x) beyond."""
     cut = 1.0 / sigma ** 2
-    quad = 0.5 * sigma ** 2 * (x * x)
-    lin = a - 0.5 * cut
-    return ad.where_mask(np.abs(x.data) < cut, quad, lin)
+    a = np.abs(x)
+    quad = a < cut
+    value = np.where(quad, 0.5 * sigma ** 2 * (x * x), a - 0.5 * cut)
+    return value, np.where(quad, sigma ** 2 * x, np.sign(x))
 
 
 def reg_loss_rpn(pred_deltas, target_deltas, sigma: float = 3.0) -> Tensor:
@@ -79,8 +96,9 @@ def reg_loss_rpn(pred_deltas, target_deltas, sigma: float = 3.0) -> Tensor:
         raise ShapeMismatch(f"{pred.shape} vs {target.shape}")
     if pred.size == 0:
         return Tensor(0.0)
-    per_pos = smooth_l1(pred - target, sigma).sum(axis=1)
-    return per_pos.sum() * (1.0 / pred.shape[0])
+    value, deriv = smooth_l1(pred.data - target, sigma)
+    scale = 1.0 / pred.shape[0]
+    return ad.node((pred,), value.sum(axis=1).sum() * scale, lambda g: (g * deriv * scale,))
 
 
 def corner_loss(pred_corners, target_corners, sigma: float = 3.0) -> Tensor:
@@ -89,4 +107,6 @@ def corner_loss(pred_corners, target_corners, sigma: float = 3.0) -> Tensor:
     target = np.asarray(target_corners, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"{pred.shape} vs {target.shape}")
-    return smooth_l1(pred - target, sigma).mean()
+    value, deriv = smooth_l1(pred.data - target, sigma)
+    scale = 1.0 / value.size
+    return ad.node((pred,), value.sum() * scale, lambda g: (g * deriv * scale,))

@@ -196,8 +196,7 @@ def run_selftest(quick: bool = True, report=print) -> bool:
         assert abs(got - 11 * math.log(2)) < 1e-12, got
         s = cfg.sigma
         cut = 1 / s ** 2
-        a = losses.smooth_l1(np.array([cut - 1e-9]), s).data[0]
-        b = losses.smooth_l1(np.array([cut + 1e-9]), s).data[0]
+        (a, b), _ = losses.smooth_l1(np.array([cut - 1e-9, cut + 1e-9]), s)
         assert abs(a - b) < 1e-6
 
     def nms_suite():
@@ -271,6 +270,27 @@ def run_selftest(quick: bool = True, report=print) -> bool:
                 case(f"batchnorm_relu (train={train})", lambda x, scale, shift: batchnorm_relu(
                     x, scale, shift, dict(stats), "n", train), ((3, 6), (3,), (3,)), seed)
 
+        # the loss nodes on every coordinate, at their kinks: probabilities
+        # clamped on either side (zero gradient), tied negatives all kept or
+        # all dropped by the OHEM cut, and offsets at 0 and at +-1/sigma^2
+        cfg = losses.LossConfig(ohem_keep=3)
+        cut = 1.0 / cfg.sigma ** 2
+        rng = np.random.default_rng(20)
+        pos = Tensor(np.array([-0.25, 0.3, 0.8, 1.25]), requires_grad=True)
+        neg = Tensor(np.array([0.6, 0.2, 0.6, 0.2, 1.25, 0.2, -0.25]), requires_grad=True)
+        offsets = np.concatenate([[0.0, cut, -cut], rng.uniform(-1.0, 1.0, 21)])
+        target = rng.normal(size=24)
+        pred = Tensor(offsets[:21].reshape(3, 7), requires_grad=True)
+        corners = Tensor(target + offsets, requires_grad=True)
+        for name, make, params in (
+                ("cls_loss", lambda: losses.cls_loss(pos, neg, cfg), [pos, neg]),
+                ("reg_loss_rpn", lambda: losses.reg_loss_rpn(pred, np.zeros((3, 7)), cfg.sigma),
+                 [pred]),
+                ("corner_loss", lambda: losses.corner_loss(corners, target, cfg.sigma),
+                 [corners])):
+            worst = finite_diff_check(make, params, n_coords=24)
+            assert worst <= 1e-4, f"{name}: worst relative error {worst}"
+
     def ap_suite():
         ap = evalkit.average_precision(np.array([True]), np.array([False]), 2, "R11")
         assert abs(ap - 6 / 11) < 1e-12, ap
@@ -305,8 +325,8 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("rotated NMS vs brute force", nms_suite)
     suite("conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution",
           conv_suite)
-    suite("gradients of conv_nd, conv_voxels, deconv_nd and batchnorm_relu (train and eval) "
-          "vs finite differences",
+    suite("gradients of conv_nd, conv_voxels, deconv_nd, batchnorm_relu (train and eval) "
+          "and the three losses vs finite differences",
           gradient_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .kitti import PointCloud, in_range
 
 _DUMP_MAGIC = b"FPVX"
@@ -36,20 +37,22 @@ class VoxelSpec:
     def __post_init__(self):
         cap = self.max_points_per_voxel
         if not isinstance(cap, numbers.Integral) or cap < 1:
-            raise ValueError(f"max_points_per_voxel {cap!r} must be an integer >= 1")
+            raise ConfigError(f"max_points_per_voxel {cap!r} must be an integer >= 1")
         for field in ("axis_range", "voxel_size"):
             if len(getattr(self, field)) != 3:
-                raise ValueError(f"{field} {getattr(self, field)} must have three axes (x, y, z)")
+                raise ConfigError(f"{field} {getattr(self, field)} must have three axes (x, y, z)")
         for axis, (lo, hi), v in zip("xyz", self.axis_range, self.voxel_size):
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{axis} range ({lo}, {hi}) must have finite bounds")
+                raise ConfigError(f"{axis} range ({lo}, {hi}) of axis_range must have finite "
+                                  f"bounds")
             if not v > 0:
-                raise ValueError(f"{axis} voxel size {v} must be positive")
+                raise ConfigError(f"{axis} voxel size {v} of voxel_size must be positive")
             if not lo < hi:
-                raise ValueError(f"{axis} range ({lo}, {hi}) must have min < max")
+                raise ConfigError(f"{axis} range ({lo}, {hi}) of axis_range must have min < max")
             n = (hi - lo) / v
             if abs(n - round(n)) > 1e-6:
-                raise ValueError(f"extent {hi - lo} not divisible by voxel size {v}")
+                raise ConfigError(f"{axis} extent {hi - lo} of axis_range is not divisible by "
+                                  f"its voxel size {v}")
 
     @property
     def dims(self) -> tuple:

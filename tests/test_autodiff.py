@@ -42,35 +42,20 @@ def test_add_mul_broadcast_grads():
     check_op(lambda ts: ((ts[0] + ts[1]) * ts[2]).sum(), [(3, 4), (4,), (3, 1)])
 
 
-def test_sub_div_grads():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(5,))
-    b = rng.uniform(1.0, 2.0, size=(5,))
-    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    out = (ta / tb - tb).sum()
-    out.backward()
-    assert np.allclose(ta.grad, 1.0 / b)
-    assert np.allclose(tb.grad, -a / b ** 2 - 1.0)
+def squared(y: Tensor) -> Tensor:
+    return (y * y).sum()
 
 
-def test_pow_matmul_grads():
-    check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3), (3, 4)])
+def test_matmul_grads():
+    check_op(lambda ts: squared(ts[0] @ ts[1]), [(2, 3), (3, 4)])
 
 
 def test_batched_matmul_broadcast_matrix_grads():
-    check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(5, 4, 3), (3, 2)])
+    check_op(lambda ts: squared(ts[0] @ ts[1]), [(5, 4, 3), (3, 2)])
 
 
 def test_batched_matmul_grads():
-    check_op(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(5, 4, 3), (5, 3, 2)])
-
-
-def test_mean_axis_and_keepdims():
-    x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-    m = x.mean(axis=0)
-    assert m.shape == (4,)
-    m.sum().backward()
-    assert np.allclose(x.grad, 1 / 3)
+    check_op(lambda ts: squared(ts[0] @ ts[1]), [(5, 4, 3), (5, 3, 2)])
 
 
 def test_max_axis_routes_gradient_to_first_argmax():
@@ -84,15 +69,9 @@ def test_reshape_transpose_grads():
     check_op(lambda ts: (ts[0].reshape(6).transpose((0,)) * 2).sum(), [(2, 3)])
 
 
-def test_log_sigmoid_relu_abs_grads():
-    rng = np.random.default_rng(2)
-    pos = rng.uniform(0.5, 2.0, size=(6,))
-    t = Tensor(pos.copy(), requires_grad=True)
-    ad.log(t).sum().backward()
-    ref = fd_grad(lambda x: ad.log(Tensor(x)).sum().item(), pos.copy())
-    assert np.allclose(t.grad, ref, rtol=1e-5)
-    anywhere = rng.normal(size=(6,)) + 0.01   # keep away from relu/abs kinks
-    for fn in (ad.sigmoid, ad.relu, ad.absolute):
+def test_sigmoid_relu_grads():
+    anywhere = np.random.default_rng(2).normal(size=(6,)) + 0.01   # clear of the relu kink
+    for fn in (ad.sigmoid, ad.relu):
         t = Tensor(anywhere.copy(), requires_grad=True)
         fn(t).sum().backward()
         ref = fd_grad(lambda x: fn(Tensor(x)).sum().item(), anywhere.copy())
@@ -149,7 +128,7 @@ def test_take_gathers_rows_and_backward_adds_them():
     np.add.at(want, idx.ravel(), g.reshape(-1, 3))
     assert x.grad.tobytes() == want.tobytes()
     r = rng.normal(size=(2, 3, 3))
-    check_op(lambda ts: ((ad.take(ts[0], idx) * r) ** 2).sum(), [(4, 3)])
+    check_op(lambda ts: squared(ad.take(ts[0], idx) * r), [(4, 3)])
 
 
 def test_add_planes_is_the_adjoint_of_the_plane_gather():
@@ -173,23 +152,6 @@ def test_node_records_its_backward_only_with_a_graph():
     with ad.no_grad():
         z = ad.node((x,), x.data * 3.0, lambda g: (g * 3.0,))
     assert z._parents == () and z._backward is None and not z.requires_grad
-
-
-def test_where_mask_selects_and_masks_gradient():
-    mask = np.array([True, False, True])
-    a = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
-    b = Tensor(np.array([5.0, 5.0, 5.0]), requires_grad=True)
-    out = ad.where_mask(mask, a * 2, b * 3)
-    assert np.array_equal(out.data, np.array([2.0, 15.0, 2.0]))
-    out.sum().backward()
-    assert np.array_equal(a.grad, np.array([2.0, 0.0, 2.0]))
-    assert np.array_equal(b.grad, np.array([0.0, 3.0, 0.0]))
-
-
-def test_clip_gradient_zero_outside_range():
-    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-    x.clip(0.0, 1.0).sum().backward()
-    assert np.array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
 
 
 def test_backward_requires_scalar():

@@ -90,8 +90,8 @@ def test_selftest_passes(capsys):
     assert "PASS crop vs brute force" in out
     assert ("PASS conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution"
             in out)
-    assert ("PASS gradients of conv_nd, conv_voxels, deconv_nd and batchnorm_relu (train and "
-            "eval) vs finite differences" in out)
+    assert ("PASS gradients of conv_nd, conv_voxels, deconv_nd, batchnorm_relu (train and "
+            "eval) and the three losses vs finite differences" in out)
 
 
 def test_negative_seed_flag_rejected():

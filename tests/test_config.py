@@ -135,6 +135,46 @@ def test_unusable_training_net_and_scene_settings_rejected_when_the_config_loads
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"loss": {"gamma": -1}}, r"loss.gamma -1 must be finite and > 0"),
+    ({"loss": {"ohem_keep": 0}}, r"loss.ohem_keep 0 must be an integer >= 1"),
+    ({"loss": {"ohem_keep": 2.5}}, r"loss.ohem_keep 2.5 must be an integer >= 1"),
+    ({"loss": {"sigma": math.nan}}, r"loss.sigma nan must be finite and > 0"),
+    ({"anchors": {"sizes": [[1, 2]]}}, r"anchor size 0 \(1, 2\) of sizes must be three"),
+    ({"anchors": {"angles_deg": [0, 180]}}, r"anchor angles \(0.0, 3.14\d*\) must be distinct"),
+    ({"voxel_size": [0, 0.1, 0.1]}, r"x voxel size 0 of voxel_size must be positive"),
+    ({"max_points_per_voxel": 0}, r"max_points_per_voxel 0 must be an integer >= 1"),
+    ({"voxel_range": [[0.0, 12.8], [-6.4, 6.4]]}, r"axis_range .* must have three axes"),
+], ids=["negative gamma", "zero ohem_keep", "fractional ohem_keep", "nan sigma",
+        "two-entry anchor size", "anchor angles equal modulo pi", "zero voxel size",
+        "zero voxel cap", "two-axis voxel range"])
+def test_loss_anchor_and_voxel_settings_raise_config_errors_naming_the_field(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"augment": {"flip_prob": 2.0}}, r"augment.flip_prob 2.0 must be in \[0, 1\]"),
+    ({"augment": {"mixup_objects": -3}}, r"augment.mixup_objects -3 must be an integer >= 0"),
+    ({"augment": {"mixup_objects": 1.5}}, r"augment.mixup_objects 1.5 must be an integer >= 0"),
+    ({"augment": {"scale_range": [1.2, 0.8]}},
+     r"augment.scale_range \(1.2, 0.8\) must be two finite values 0 < low <= high"),
+    ({"augment": {"scale_range": [0.0, 1.1]}}, r"augment.scale_range \(0.0, 1.1\)"),
+    ({"augment": {"scale_range": [0.9]}}, r"augment.scale_range \(0.9,\)"),
+    ({"augment": {"global_rot_deg": math.nan}}, r"augment.global_rot_deg nan must be finite"),
+    ({"augment": {"object_rot_deg": -5.0}}, r"augment.object_rot_deg -5.0 must be finite and >= 0"),
+    ({"anchors": {"pos_iou": 2.0, "neg_iou": 1.5}}, r"anchors.pos_iou 2.0 must be in \(0, 1\]"),
+    ({"anchors": {"pos_iou": 0.0, "neg_iou": -0.5}}, r"anchors.pos_iou 0.0 must be in \(0, 1\]"),
+    ({"anchors": {"neg_iou": 1.0}}, r"anchors.neg_iou 1.0 must be in \[0, 1\)"),
+    ({"anchors": {"z_center": math.nan}}, r"anchors.z_center nan must be finite"),
+], ids=["flip_prob above 1", "negative mixup", "fractional mixup", "scale range reversed",
+        "zero scale", "one scale", "nan global rotation", "negative object rotation",
+        "iou above 1", "zero pos iou", "neg iou of 1", "nan anchor height"])
+def test_unusable_augment_and_anchor_settings_rejected_when_the_config_loads(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
 def test_zero_epochs_scenes_and_jitter_load():
     cfg = config_from_dict({"train": {"rpn_epochs": 0, "refiner_epochs": 0,
                                       "refiner_jitter": 0},
@@ -154,7 +194,7 @@ def test_removed_keys_are_unknown(raw, match):
 
 @pytest.mark.parametrize("field", ["gamma", "sigma"])
 def test_nan_loss_weight_rejected_when_the_config_loads(field):
-    with pytest.raises(ValueError, match="gamma > 0, sigma > 0"):
+    with pytest.raises(ConfigError, match=f"loss.{field} nan must be finite and > 0"):
         config_from_dict({"loss": {field: math.nan}})
 
 

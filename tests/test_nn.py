@@ -377,7 +377,8 @@ def test_deconv_gradient_finite_difference():
     b = Tensor(rng.normal(size=(1,)), requires_grad=True)
 
     def make_loss():
-        return (deconv_nd(x, w, b, stride=(4, 4), padding=(0, 0)) ** 2).sum()
+        y = deconv_nd(x, w, b, stride=(4, 4), padding=(0, 0))
+        return (y * y).sum()
 
     assert finite_diff_check(make_loss, [x, w, b], n_coords=4) < 1e-4
 
@@ -459,7 +460,8 @@ def test_conv_gradient_finite_difference():
     b = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def make_loss():
-        return (conv_nd(x, w, b, stride=(2, 2), padding=(1, 1)) ** 2).sum()
+        y = conv_nd(x, w, b, stride=(2, 2), padding=(1, 1))
+        return (y * y).sum()
 
     assert finite_diff_check(make_loss, [x, w, b], n_coords=5) < 1e-4
 
@@ -486,7 +488,16 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_relu_backward_matches_the_chain_of_ops():
-    # the closed form against batch norm and ReLU composed of autodiff ops
+    # the closed form against batch norm and ReLU composed of autodiff ops,
+    # with the channel sum and the reciprocal square root as two nodes here
+    def channel_sum(t):
+        return ad.node((t,), t.data.sum(axis=(1, 2), keepdims=True),
+                       lambda g: (np.broadcast_to(g, t.shape).copy(),))
+
+    def rsqrt(t):
+        return ad.node((t,), (t.data + nn._BN_EPS) ** -0.5,
+                       lambda g: (g * -0.5 * (t.data + nn._BN_EPS) ** -1.5,))
+
     rng = np.random.default_rng(9)
     x, scale, shift = (Tensor(rng.normal(size=s), requires_grad=True)
                        for s in ((5, 8, 6), (5,), (5,)))
@@ -494,12 +505,11 @@ def test_batchnorm_relu_backward_matches_the_chain_of_ops():
     for train in (True, False):
         stats = {"bn/mean": rng.normal(size=5), "bn/var": rng.uniform(0.5, 2.0, 5)}
         if train:
-            mu = x.sum(axis=(1, 2), keepdims=True) * (1.0 / 48)
-            xc = x - mu
-            var = (xc * xc).sum(axis=(1, 2), keepdims=True) * (1.0 / 48)
-            xhat = xc * ((var + nn._BN_EPS) ** -0.5)
+            mu = channel_sum(x) * (1.0 / 48)
+            xc = x + mu * -1.0
+            xhat = xc * rsqrt(channel_sum(xc * xc) * (1.0 / 48))
         else:
-            xhat = (x - stats["bn/mean"].reshape(5, 1, 1)) * (
+            xhat = (x + (-stats["bn/mean"].reshape(5, 1, 1))) * (
                 1.0 / np.sqrt(stats["bn/var"].reshape(5, 1, 1) + nn._BN_EPS))
         chain = ad.relu(scale.reshape(5, 1, 1) * xhat + shift.reshape(5, 1, 1))
         (chain * r).sum().backward()
@@ -817,7 +827,8 @@ def test_refiner_gradients_match_reference():
         for out in (cell_forward(net, coords, feats, cells),
                     reference_forward(net, coords, feats[cells])):
             net.params.zero_grad()
-            ((out - target) * (out - target)).sum().backward()
+            diff = out + (-target)
+            (diff * diff).sum().backward()
             grads.append({k: np.zeros(t.data.shape) if t.grad is None else t.grad
                           for k, t in net.params.tensors.items()})
         for name, want in grads[1].items():
@@ -888,7 +899,7 @@ def test_refiner_gradient_finite_difference():
     target = rng.normal(size=24)
 
     def make_loss():
-        diff = net.forward(coords, feats, cells) - target
+        diff = net.forward(coords, feats, cells) + (-target)
         return (diff * diff).sum()
 
     params = [net.params.tensors[n] for n in net.params.names()]
