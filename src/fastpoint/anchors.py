@@ -28,6 +28,20 @@ IGNORE = 0
 MAX_LOG_SIZE_DELTA = math.log(1000.0 / 16)
 
 
+def coincident_angles(angles, half_turn: float):
+    """The first pair of angles equal modulo half_turn (pi for radians, 180
+    for degrees) to within 1e-9 radians, or None. Their difference r modulo
+    half_turn is tested as min(r, half_turn - r), so that a pair just short of
+    a half turn apart coincides as one just past it does."""
+    tol = 1e-9 * half_turn / math.pi
+    for i, a in enumerate(angles):
+        for b in angles[i + 1:]:
+            r = abs(a - b) % half_turn
+            if min(r, half_turn - r) < tol:
+                return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class AnchorSpec:
     sizes: tuple       # ((l, w, h), ...) meters
@@ -39,10 +53,10 @@ class AnchorSpec:
             if len(size) != 3 or not all(0 < s < math.inf for s in size):
                 raise ConfigError(f"anchor size {i} {size} of sizes must be three finite, "
                                   f"positive entries (l, w, h)")
-        for i, a in enumerate(self.angles):
-            for b in self.angles[i + 1:]:
-                if abs(normalize_angle(a - b)) % math.pi < 1e-9:
-                    raise ConfigError(f"anchor angles {self.angles} must be distinct modulo pi")
+        pair = coincident_angles(self.angles, math.pi)
+        if pair is not None:
+            raise ConfigError(f"anchor angles {self.angles} must be distinct modulo pi: "
+                              f"{pair[0]} and {pair[1]} coincide")
 
     def diagonals(self) -> np.ndarray:
         # d_a = sqrt(l^2 + w^2), the anchor BEV diagonal

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .anchors import AnchorSpec
+from .anchors import AnchorSpec, coincident_angles
 from .errors import ConfigError
 from .losses import LossConfig
 from .nn import NetConfig, RefinerConfig, reference_netconfig
@@ -55,11 +55,17 @@ class AnchorParams:
     neg_iou: float = 0.45
 
     def __post_init__(self):
-        # sizes and angles are checked by the AnchorSpec that validate builds
+        # sizes are checked by the AnchorSpec that validate builds
         _check_fields("anchors", self, (
+            ("angles_deg", lambda v: isinstance(v, (tuple, list))
+             and all(_real(math.isfinite)(a) for a in v), "a list of finite degrees"),
             ("z_center", _real(math.isfinite), "finite"),
             ("pos_iou", _real(lambda v: 0 < v <= 1), "in (0, 1]"),
             ("neg_iou", _real(lambda v: 0 <= v < 1), "in [0, 1)")))
+        pair = coincident_angles(self.angles_deg, 180.0)
+        if pair is not None:
+            raise ConfigError(f"anchors.angles_deg {self.angles_deg!r} must be distinct modulo "
+                              f"180 degrees: {pair[0]} and {pair[1]} coincide")
 
     def spec(self) -> AnchorSpec:
         return AnchorSpec(tuple(tuple(s) for s in self.sizes),

@@ -21,10 +21,13 @@ refiner is a PointNet over canonized in-box points whose coordinate
 embedding is fused with indexed backbone features through a learned
 sigmoid attention gate. Each of its layers normalizes by a per-channel
 affine pair (scale and shift, no statistics), so a proposal's absolute
-coordinate scale survives. The gate depends on a point's BEV cell alone,
-so it is computed once per cell and gathered per point; the max-pool over
-points comes before the last PointNet layer's bias, norm and ReLU, which
-run on the pooled row only.
+coordinate scale survives. It takes a frame's proposals as one ragged
+batch: their points concatenated, and the first row of each. The gate
+depends on a point's BEV cell alone, so it is computed once per cell and
+gathered per point. The points run through the PointNet in groups of whole
+proposals of bounded width, and one segment max (``segment_max``) pools
+each proposal's rows of the last layer's ``h @ w``, before that layer's
+bias, norm and ReLU, which run on the pooled rows only.
 """
 
 from __future__ import annotations
@@ -326,6 +329,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x @ w + b
 
 
+def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
+    """(P, C) max over the rows of x (N, C) of each segment: rows
+    starts[p] .. starts[p + 1] - 1, the last running to N. starts must rise
+    strictly from 0. One graph node; backward routes each gradient to its
+    segment's first argmax, Tensor.max's tie rule. Each segment is one numpy
+    reduction over its contiguous rows, which ran 2-3x faster than one
+    np.maximum.reduceat along the rows, forward and backward."""
+    spans = list(zip(starts, np.append(starts[1:], len(x.data))))
+    y = np.stack([x.data[a:b].max(axis=0) for a, b in spans])
+
+    def backward(g):
+        # the argmaxes are found here, so a forward without backward skips them
+        gx = np.zeros(x.shape)
+        cols = np.arange(x.shape[1])
+        for p, (a, b) in enumerate(spans):
+            gx[a + np.argmax(x.data[a:b], axis=0), cols] = g[p]
+        return (gx,)
+
+    return ad.node((x,), y, backward)
+
+
 def batchnorm_relu(x: Tensor, scale: Tensor, shift: Tensor, stats: dict, name: str,
                    train: bool) -> Tensor:
     """relu(scale * xhat + shift), where xhat normalizes x over every axis
@@ -575,6 +599,17 @@ class VoxelRPN:
 
 
 # --------------------------------------------------------------- RefinerNet
+# Bytes of the refiner's widest activation per group of proposals. Measured
+# with the toy config (128 channels at the widest, so 1,024 rows) on a 2-vCPU
+# VM, under glibc malloc's default thresholds: a dense frame's forward (~30k
+# points over ~28 proposals) took 42 ms, against 45 ms at 2 MiB, 65 ms at
+# 4 MiB (conv_nd's _CHUNK_BYTES) and 100 ms as one group; a training frame
+# update (~1,500 points) took 8-10 ms, against 13-15 ms at 4 MiB, where its
+# larger arrays cost ~3,000 page faults per update. With malloc's thresholds
+# pinned high (as the benchmark pins them) the forward reads 41 ms at every
+# budget and the update 8.3 ms here against 7.5 ms at 4 MiB
+_REFINER_GROUP_BYTES = 1 << 20
+
 @dataclass(frozen=True)
 class RefinerConfig:
     feature_channels: int          # C_F of the fused backbone map
@@ -631,31 +666,37 @@ class RefinerNet:
         c = x.shape[1]
         return self._p(name + "/scale").reshape(1, c) * x + self._p(name + "/shift").reshape(1, c)
 
-    def _pooled(self, h: Tensor, name: str) -> Tensor:
-        """The last PointNet layer and the max-pool over points: the (1, C) max
-        over the rows of relu(norm(h @ w + b)), computed on one row.
+    def _pooled(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray, gate: Tensor,
+                starts: np.ndarray, last: tuple) -> Tensor:
+        """The PointNet on a group of whole proposals: (P_g, C) rows, each the
+        max-pool over one proposal's points of the last layer, whose
+        sign-folded weights and norm are last = (w, b, scale, shift)."""
+        c = linear(Tensor(coords), self._p("refiner/coord/w"), self._p("refiner/coord/b"))
+        c = ad.relu(self._norm(c, "refiner/coord/bn"))
+        h = ad.concat([c, Tensor(feats[cells])], axis=1) * ad.take(gate, cells)
+        for i in range(len(self.cfg.pointnet) - 1):
+            h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
+            h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))
+        w, b, scale, shift = last
+        return ad.relu(scale * (segment_max(h @ w, starts) + b) + shift)
 
-        Each channel is monotone in h @ w, rising where its norm scale is >= 0
-        and falling where it is < 0, and rounding keeps that order. Negating a
-        falling channel's w, b and scale is exact and makes it rising, so the
-        pool takes each channel's largest entry of h @ (w * sign), and bias,
-        norm and ReLU run on that row alone.
+    def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray,
+                starts: np.ndarray) -> Tensor:
+        """A frame's proposals as one ragged batch -> (P, 24) corner
+        predictions.
+
+        coords: (N, 3), the canonized points of every proposal, concatenated
+        in proposal order; feats: (K, C_F), one row per BEV cell; cells: (N,)
+        integer row of feats of each point; starts: (P,) integer first row
+        of each proposal, rising strictly from 0, every proposal nonempty.
         """
-        scale, shift = self._p(name + "/bn/scale"), self._p(name + "/bn/shift")
-        sign = np.where(scale.data >= 0, 1.0, -1.0)
-        z = h @ (self._p(name + "/w") * sign)
-        c = z.shape[1]
-        x = z.max(axis=0).reshape(1, c) + self._p(name + "/b") * sign
-        return ad.relu((scale * sign).reshape(1, c) * x + shift.reshape(1, c))
-
-    def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray) -> Tensor:
-        """coords: (N, 3) canonized; feats: (K, C_F), one row per BEV cell;
-        cells: (N,) integer row of feats of each point. Returns the 24-vector
-        corner prediction."""
         cfg = self.cfg
+        coords = np.asarray(coords, dtype=np.float64)
         n = len(coords)
         if n == 0:
             raise EmptyProposal("proposal contains no points")
+        if coords.shape != (n, 3):
+            raise ShapeMismatch(f"coords {coords.shape} vs (N, 3)")
         feats, cells = np.asarray(feats, dtype=np.float64), np.asarray(cells)
         if feats.ndim != 2 or feats.shape[1] != cfg.feature_channels:
             raise ShapeMismatch(f"features {feats.shape} vs (K, {cfg.feature_channels})")
@@ -663,21 +704,44 @@ class RefinerNet:
             raise ShapeMismatch(f"cells {cells.shape} of {cells.dtype}: need {n} integer rows")
         if cells.min() < 0 or cells.max() >= len(feats):
             raise ShapeMismatch(f"cells index outside the {len(feats)} feature rows")
-        c = linear(Tensor(np.asarray(coords, dtype=np.float64)),
-                   self._p("refiner/coord/w"), self._p("refiner/coord/b"))
-        c = ad.relu(self._norm(c, "refiner/coord/bn"))
-        # the gate reads the cell's features alone: one row per cell, gathered
-        # per point. numpy multiplies a lone row by gemv, which rounds unlike
-        # gemm on several rows, so one cell shared by several points is
-        # doubled to be rounded as each point's row would be
-        rows = feats if len(feats) > 1 or n == 1 else np.repeat(feats, 2, axis=0)
-        gate = ad.sigmoid(linear(Tensor(rows), self._p("refiner/att/w"), self._p("refiner/att/b")))
-        h = ad.concat([c, Tensor(feats[cells])], axis=1) * ad.take(gate, cells)
-        last = len(cfg.pointnet) - 1
-        for i in range(last):
-            h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
-            h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))
-        g = self._pooled(h, f"refiner/pn{last}")
+        starts = np.asarray(starts)
+        if (starts.ndim != 1 or len(starts) == 0 or not np.issubdtype(starts.dtype, np.integer)
+                or starts[0] != 0):
+            raise ShapeMismatch(f"starts {starts.shape} of {starts.dtype}: need the integer "
+                                f"first row of each proposal, from 0")
+        sizes = np.diff(np.append(starts, n))
+        if sizes.min() < 0:
+            raise ShapeMismatch(f"starts must rise within the {n} points")
+        if sizes.min() == 0:
+            raise EmptyProposal(f"proposal {int(np.argmin(sizes))} contains no points")
+        # the gate reads the cell's features alone: one row per cell,
+        # gathered per point
+        gate = ad.sigmoid(linear(Tensor(feats), self._p("refiner/att/w"), self._p("refiner/att/b")))
+        # the max-pool over points comes before the last layer's bias, norm and
+        # ReLU. Each channel is monotone in h @ w, rising where its norm scale
+        # is >= 0 and falling where it is < 0, and rounding keeps that order.
+        # Negating a falling channel's w, b and scale is exact and makes it
+        # rising, so the pool takes each channel's largest entry of
+        # h @ (w * sign), and bias, norm and ReLU run on the pooled rows alone
+        name = f"refiner/pn{len(cfg.pointnet) - 1}"
+        scale = self._p(name + "/bn/scale")
+        sign = np.where(scale.data >= 0, 1.0, -1.0)
+        c = len(sign)
+        last = (self._p(name + "/w") * sign, self._p(name + "/b") * sign,
+                (scale * sign).reshape(1, c), self._p(name + "/bn/shift").reshape(1, c))
+        # groups of whole proposals whose widest activation stays within
+        # _REFINER_GROUP_BYTES; a larger proposal is a group alone
+        rows = _REFINER_GROUP_BYTES // (8 * max(cfg.coord_dim + cfg.feature_channels,
+                                                *cfg.pointnet))
+        ends = starts + sizes
+        pooled, first = [], 0
+        for p in range(1, len(starts) + 1):
+            if p == len(starts) or ends[p] - starts[first] > rows:
+                lo, hi = starts[first], ends[p - 1]
+                pooled.append(self._pooled(coords[lo:hi], feats, cells[lo:hi], gate,
+                                           starts[first:p] - lo, last))
+                first = p
+        g = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
         for i in range(len(cfg.head)):
             g = ad.relu(linear(g, self._p(f"refiner/head{i}/w"), self._p(f"refiner/head{i}/b")))
-        return linear(g, self._p("refiner/out/w"), self._p("refiner/out/b")).reshape(-1)
+        return linear(g, self._p("refiner/out/w"), self._p("refiner/out/b"))

@@ -67,21 +67,25 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
         return FrameResult(frame_id, list(proposals), proposals, times)
 
     t0 = time.perf_counter()
-    refined = []
-    for det in proposals:
+    features, cropped = [], []
+    for i, det in enumerate(proposals):
         try:
-            bf = refiner_features.build_box_feature(
-                pc, fused.data, det.box, spec, cfg.post.crop_margin)
+            features.append(refiner_features.build_box_feature(
+                pc, fused.data, det.box, spec, cfg.post.crop_margin))
         except EmptyProposal:
-            refined.append(det)      # pointless to refine without points
-            continue
+            continue                 # pointless to refine without points: the box stays
+        cropped.append(i)
+    refined = list(proposals)
+    if features:
         with no_grad():
-            pred = refiner.forward(bf.coords, bf.feats, bf.cells)
-        corners = decode_corners(pred.data, det.box)
-        try:
-            refined.append(Detection(corners_to_box(corners), det.score, det.cls))
-        except DegenerateCorners:
-            refined.append(det)      # collapsed corners fit no box
+            preds = refiner.forward(*refiner_features.stack_features(features)).data
+        for i, pred in zip(cropped, preds):
+            det = proposals[i]
+            try:
+                refined[i] = Detection(corners_to_box(decode_corners(pred, det.box)),
+                                       det.score, det.cls)
+            except DegenerateCorners:
+                pass                 # collapsed corners fit no box: the box stays
     times["refine"] = time.perf_counter() - t0
     return FrameResult(frame_id, refined, proposals, times)
 

@@ -1,6 +1,7 @@
 """Per-proposal box features for the refinement stage: crop points near
 the proposal, canonize them into its frame, and index each point's BEV cell
-of the backbone feature map."""
+of the backbone feature map; then stack a frame's proposals into the one
+ragged batch that the refiner takes."""
 
 from __future__ import annotations
 
@@ -55,3 +56,17 @@ def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
     flat = cell_index(pts[:, :2], feature_map.shape[1:], (x1 - x0, y1 - y0), (x0, y0))
     cells, rows = np.unique(flat, return_inverse=True)
     return BoxFeature(coords, feature_map.reshape(c_f, -1)[:, cells].T, rows)
+
+
+def stack_features(features: list) -> tuple:
+    """A frame's nonempty BoxFeatures as one ragged batch, the arguments of
+    RefinerNet.forward: (coords, feats, cells, starts), with coords, feats
+    and cells concatenated in proposal order, each proposal's cells shifted
+    past the feats rows of the proposals before it, and starts the first
+    coords row of each proposal."""
+    sizes = np.array([len(f.coords) for f in features])
+    offsets = np.cumsum([0] + [len(f.feats) for f in features[:-1]])
+    return (np.concatenate([f.coords for f in features]),
+            np.concatenate([f.feats for f in features]),
+            np.concatenate([f.cells + o for f, o in zip(features, offsets)]),
+            np.cumsum(sizes) - sizes)

@@ -12,9 +12,10 @@ import math
 import numpy as np
 
 from . import geometry
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, concat, no_grad
 from .geometry import Box3D, BoxBEV
-from .nn import batchnorm_relu, conv_nd, conv_voxels, deconv_nd
+from .nn import (RefinerConfig, RefinerNet, batchnorm_relu, conv_nd, conv_voxels, deconv_nd,
+                 segment_max)
 
 FD_STEP = 1e-5   # central-difference step of finite_diff_check
 
@@ -269,6 +270,33 @@ def run_selftest(quick: bool = True, report=print) -> bool:
                 stats = {"n/mean": rng.normal(size=3), "n/var": rng.uniform(0.5, 2.0, 3)}
                 case(f"batchnorm_relu (train={train})", lambda x, scale, shift: batchnorm_relu(
                     x, scale, shift, dict(stats), "n", train), ((3, 6), (3,), (3,)), seed)
+            # segments of one row, of several, and the last
+            case("segment_max", lambda x: segment_max(x, np.array([0, 1, 4])), ((7, 3),), seed)
+
+        # the batched refiner against one forward per proposal, one-point
+        # proposals among them: outputs and every gradient to 1e-12
+        net = RefinerNet(RefinerConfig(feature_channels=4, corner_template=(0.0,) * 24,
+                                       coord_dim=8, pointnet=(16, 32), head=(16,)), seed=0)
+        rng = np.random.default_rng(30)
+        sizes = np.array([1, 9, 30, 1, 14])
+        n, starts = sizes.sum(), np.cumsum(sizes) - sizes
+        coords, feats, cells = rng.normal(size=(n, 3)), rng.normal(size=(12, 4)), \
+            rng.integers(0, 12, n)
+        r = rng.normal(size=(len(sizes), 24))
+
+        def outputs_and_gradients(forward):
+            net.params.zero_grad()
+            out = forward()
+            (out * r).sum().backward()
+            return [out.data] + [t.grad for t in net.params.tensors.values()]
+
+        batched = outputs_and_gradients(lambda: net.forward(coords, feats, cells, starts))
+        single = outputs_and_gradients(lambda: concat(
+            [net.forward(coords[a:b], feats, cells[a:b], np.array([0]))
+             for a, b in zip(starts, starts + sizes)], axis=0))
+        for got, want in zip(batched, single):
+            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+            assert err <= 1e-12, f"batched refiner: relative error {err} vs per-proposal forwards"
 
         # the loss nodes on every coordinate, at their kinks: probabilities
         # clamped on either side (zero gradient), tied negatives all kept or
@@ -325,8 +353,9 @@ def run_selftest(quick: bool = True, report=print) -> bool:
     suite("rotated NMS vs brute force", nms_suite)
     suite("conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution",
           conv_suite)
-    suite("gradients of conv_nd, conv_voxels, deconv_nd, batchnorm_relu (train and eval) "
-          "and the three losses vs finite differences",
+    suite("gradients of conv_nd, conv_voxels, deconv_nd, batchnorm_relu (train and eval), "
+          "segment_max and the three losses vs finite differences; the batched refiner vs "
+          "per-proposal forwards",
           gradient_suite)
     suite("average precision hand case", ap_suite)
     suite("augmentation audit", augment_suite)

@@ -203,32 +203,30 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
         for gt in frame.gts:
             for _ in range(cfg.train.refiner_jitter):
                 boxes.append((_jitter_proposal(gt, rng, cfg.post.refiner_pos_iou), gt))
-        samples = []
+        features, targets = [], []
         for box, gt in boxes:
             try:
-                bf = refiner_features.build_box_feature(
-                    frame.pc, fused, box, spec, cfg.post.crop_margin)
+                features.append(refiner_features.build_box_feature(
+                    frame.pc, fused, box, spec, cfg.post.crop_margin))
             except EmptyProposal:
                 continue
-            samples.append((bf, encode_corners(gt, box)))
-        cache.append(samples)
-
-    def frame_loss(samples):
-        # trained per frame: one update over all of the frame's proposals
-        loss = None
-        for bf, target in samples:
-            term = losses.corner_loss(refiner.forward(bf.coords, bf.feats, bf.cells),
-                                      target, cfg.loss.sigma)
-            loss = term if loss is None else loss + term
-        return loss * (1.0 / len(samples))
-
-    updates = [samples for samples in cache if samples]
-    if not updates:
+            targets.append(encode_corners(gt, box))
+        if features:
+            cache.append((refiner_features.stack_features(features), np.stack(targets)))
+    if not cache:
         raise ValueError(f"train_refiner: none of the {len(prepared)} frames yields a sample "
                          f"(no proposal above refiner_pos_iou {cfg.post.refiner_pos_iou} "
                          f"and refiner_jitter {cfg.train.refiner_jitter})")
+
+    def frame_loss(entry):
+        # trained per frame: one forward and one update over all of the
+        # frame's proposals; the mean over their P * 24 corner offsets is the
+        # mean of the proposals' means
+        batch, targets = entry
+        return losses.corner_loss(refiner.forward(*batch), targets, cfg.loss.sigma)
+
     base_lr = cfg.train.refiner_lr if cfg.train.refiner_lr is not None else cfg.train.lr
-    _fit("refiner", refiner.params, updates, frame_loss,
+    _fit("refiner", refiner.params, cache, frame_loss,
          cfg, base_lr, cfg.train.refiner_epochs, cfg.train.refiner_decay_epochs, log)
     return refiner
 

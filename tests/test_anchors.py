@@ -61,6 +61,14 @@ def test_angles_must_differ_mod_pi():
         A.AnchorSpec(((1, 1, 1),), (0.0, math.pi), -1.0)
 
 
+@pytest.mark.parametrize("angles", [(0.0, math.pi - 1e-12), (0.0, math.pi + 1e-12),
+                                    (0.5, 0.5 - 2 * math.pi)],
+                         ids=["just short", "just past", "full turn"])
+def test_angles_a_hair_from_a_half_turn_apart_coincide(angles):
+    with pytest.raises(ValueError, match=r"must be distinct modulo pi: .* coincide"):
+        A.AnchorSpec(((1, 1, 1),), angles, -1.0)
+
+
 @pytest.mark.parametrize("size", [(3.9, 0.0, 1.56), (3.9, 1.7, math.nan), (math.inf, 1.7, 1.56),
                                   (3.9, -1.7, 1.56), (3.9, 1.7)],
                          ids=["zero", "nan", "inf", "negative", "two entries"])

@@ -91,7 +91,8 @@ def test_selftest_passes(capsys):
     assert ("PASS conv_nd chunks vs one product, conv_nd and conv_voxels vs direct convolution"
             in out)
     assert ("PASS gradients of conv_nd, conv_voxels, deconv_nd, batchnorm_relu (train and "
-            "eval) and the three losses vs finite differences" in out)
+            "eval), segment_max and the three losses vs finite differences; the batched "
+            "refiner vs per-proposal forwards" in out)
 
 
 def test_negative_seed_flag_rejected():

@@ -141,7 +141,8 @@ def test_unusable_training_net_and_scene_settings_rejected_when_the_config_loads
     ({"loss": {"ohem_keep": 2.5}}, r"loss.ohem_keep 2.5 must be an integer >= 1"),
     ({"loss": {"sigma": math.nan}}, r"loss.sigma nan must be finite and > 0"),
     ({"anchors": {"sizes": [[1, 2]]}}, r"anchor size 0 \(1, 2\) of sizes must be three"),
-    ({"anchors": {"angles_deg": [0, 180]}}, r"anchor angles \(0.0, 3.14\d*\) must be distinct"),
+    ({"anchors": {"angles_deg": [0, 180]}},
+     r"anchors.angles_deg \(0, 180\) must be distinct modulo 180 degrees: 0 and 180 coincide"),
     ({"voxel_size": [0, 0.1, 0.1]}, r"x voxel size 0 of voxel_size must be positive"),
     ({"max_points_per_voxel": 0}, r"max_points_per_voxel 0 must be an integer >= 1"),
     ({"voxel_range": [[0.0, 12.8], [-6.4, 6.4]]}, r"axis_range .* must have three axes"),
@@ -151,6 +152,33 @@ def test_unusable_training_net_and_scene_settings_rejected_when_the_config_loads
 def test_loss_anchor_and_voxel_settings_raise_config_errors_naming_the_field(raw, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("angles, pair", [
+    ([0, 180], "0 and 180"),
+    ([0, 179.99999999999], "0 and 179.99999999999"),
+    ([0, 180.00000000001], "0 and 180.00000000001"),
+    ([45, 90, -135], "45 and -135"),
+    ([10, 370], "10 and 370"),
+], ids=["half turn", "just short of a half turn", "just past a half turn", "negative",
+        "full turn"])
+def test_anchor_angles_equal_modulo_a_half_turn_rejected_in_degrees(angles, pair):
+    with pytest.raises(ConfigError, match=rf"anchors.angles_deg \(.*\) must be distinct modulo "
+                                          rf"180 degrees: {pair} coincide"):
+        config_from_dict({"anchors": {"angles_deg": angles}})
+
+
+@pytest.mark.parametrize("angles", [[0, math.nan], [math.inf], "0, 90"],
+                         ids=["nan", "inf", "not a list"])
+def test_anchor_angles_must_be_a_list_of_finite_degrees(angles):
+    with pytest.raises(ConfigError, match=r"anchors.angles_deg .* must be a list of finite"):
+        config_from_dict({"anchors": {"angles_deg": angles}})
+
+
+def test_anchor_angles_a_hair_apart_from_a_half_turn_still_load():
+    # 1e-6 degrees is ~1.7e-8 radians, above the 1e-9 radian tolerance
+    assert len(config_from_dict({"anchors": {"angles_deg": [0, 179.999999]}})
+               .anchors.spec().angles) == 2
 
 
 @pytest.mark.parametrize("raw, match", [

@@ -740,9 +740,10 @@ def ref_cfg(**kw):
 
 
 def reference_forward(net, coords, feats):
-    """Reference for RefinerNet.forward, with feats as one row per point: the
-    gate is computed on every point's row, and every PointNet layer runs on
-    every point before the max-pool."""
+    """Reference for one proposal of RefinerNet.forward, with feats as one
+    row per point: the gate is computed on every point's row, and every
+    PointNet layer runs on every point before the max-pool. Returns the
+    24-vector."""
     p = net.params.tensors
 
     def norm(x, name):
@@ -763,23 +764,32 @@ def reference_forward(net, coords, feats):
     return linear(g, p["refiner/out/w"], p["refiner/out/b"]).reshape(-1)
 
 
-def cell_forward(net, coords, feats, cells):
-    """RefinerNet.forward on points whose feature row is feats[cells]."""
-    return net.forward(coords, feats, cells)
+def segments(starts, n):
+    return list(zip(starts, np.append(starts[1:], n)))
 
 
-def refiner_cases(rng):
-    """(name, coords, cell feature rows, per-point cell index) inputs."""
-    def points(n, k, cells=None):
+def stacked_reference(net, coords, feats, cells, starts):
+    """The (P, 24) rows of reference_forward, one proposal at a time."""
+    return ad.concat([reference_forward(net, coords[a:b], feats[cells[a:b]]).reshape(1, 24)
+                      for a, b in segments(starts, len(coords))], axis=0)
+
+
+def frame_cases(rng):
+    """(name, coords, feats, cells, starts) batches of proposals."""
+    def batch(sizes, k, cells=None):
+        n = sum(sizes)
         cells = rng.integers(0, k, n) if cells is None else cells
-        return rng.normal(size=(n, 3)), rng.normal(size=(k, 6)), cells
+        return (rng.normal(size=(n, 3)), rng.normal(size=(k, 6)), cells,
+                np.cumsum([0] + sizes[:-1]))
 
-    tied = points(6, 3)
-    yield "random", *points(40, 7)
-    yield "one point", *points(1, 1)
-    yield "one cell", *points(30, 1)
-    yield "own cells", *points(30, 30, np.arange(30))
-    yield "tied maxima", np.tile(tied[0], (5, 1)), tied[1], np.tile(tied[2], 5)
+    yield "random", *batch([40, 7, 25, 12], 19)
+    yield "P = 1", *batch([40], 7)
+    yield "one-point segments", *batch([1, 1, 9, 1], 5)
+    yield "one point", *batch([1], 1)
+    yield "one cell", *batch([30, 4], 1)
+    yield "own cells", *batch([30, 20], 50, np.arange(50))
+    coords, feats, cells, _ = batch([6], 3)
+    yield "tied maxima", np.tile(coords, (5, 1)), feats, np.tile(cells, 5), np.array([0, 12, 18])
 
 
 def refiner_variants():
@@ -804,67 +814,128 @@ def refiner_variants():
     yield "dead channels", net
 
 
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
 def test_refiner_forward_matches_reference():
     rng = np.random.default_rng(20)
     for variant, net in refiner_variants():
-        for case, coords, feats, cells in refiner_cases(rng):
-            got = cell_forward(net, coords, feats, cells).data
-            want = reference_forward(net, coords, feats[cells]).data
-            assert got.tobytes() == want.tobytes(), (variant, case)
+        for case, coords, feats, cells, starts in frame_cases(rng):
+            got = net.forward(coords, feats, cells, starts).data
+            want = stacked_reference(net, coords, feats, cells, starts).data
+            assert got.shape == (len(starts), 24), (variant, case)
+            assert relative_error(got, want) <= 1e-12, (variant, case)
+
+
+def refiner_gradients(net, out, target):
+    net.params.zero_grad()
+    diff = out + (-target)
+    (diff * diff).sum().backward()
+    return {k: np.zeros(t.data.shape) if t.grad is None else t.grad
+            for k, t in net.params.tensors.items()}
 
 
 def test_refiner_gradients_match_reference():
     rng = np.random.default_rng(22)
-    coords, feats, cells = rng.normal(size=(40, 3)), rng.normal(size=(7, 6)), rng.integers(0, 7, 40)
-    target = rng.normal(size=24)
+    _, coords, feats, cells, starts = next(frame_cases(rng))
+    target = rng.normal(size=(len(starts), 24))
     for variant, net in refiner_variants():
         if variant == "signed scales":
             # a zero scale's gradient is one-sided: kept out, nonzero scales of both signs stay
             for name, t in net.params.tensors.items():
                 if name.endswith("/scale"):
                     t.data[t.data == 0.0] = 0.3
-        grads = []
-        for out in (cell_forward(net, coords, feats, cells),
-                    reference_forward(net, coords, feats[cells])):
-            net.params.zero_grad()
-            diff = out + (-target)
-            (diff * diff).sum().backward()
-            grads.append({k: np.zeros(t.data.shape) if t.grad is None else t.grad
-                          for k, t in net.params.tensors.items()})
-        for name, want in grads[1].items():
-            err = np.max(np.abs(grads[0][name] - want), initial=0.0)
-            assert err <= 1e-12 * max(1.0, np.abs(want).max()), (variant, name, err)
+        got = refiner_gradients(net, net.forward(coords, feats, cells, starts), target)
+        want = refiner_gradients(net, stacked_reference(net, coords, feats, cells, starts),
+                                 target)
+        for name in want:
+            err = np.max(np.abs(got[name] - want[name]), initial=0.0)
+            assert err <= 1e-12 * max(1.0, np.abs(want[name]).max()), (variant, name, err)
 
 
-def test_refiner_output_is_24_vector():
+def test_refiner_groups_that_split_match_one_group(monkeypatch):
+    # the widest activation of ref_cfg is 32 channels: a budget of 48 rows
+    # groups "random"'s proposals of 40, 7, 25 and 12 points as 40 + 7 and
+    # 25 + 12, and one of a single row leaves every proposal a group alone
+    rng = np.random.default_rng(23)
+    _, coords, feats, cells, starts = next(frame_cases(rng))
+    target = rng.normal(size=(len(starts), 24))
+    net = RefinerNet(ref_cfg(), seed=0)
+    whole = net.forward(coords, feats, cells, starts)
+    whole_grads = refiner_gradients(net, whole, target)
+    groups = []
+    pooled = RefinerNet._pooled
+    monkeypatch.setattr(RefinerNet, "_pooled",
+                        lambda self, c, *a: groups.append(len(c)) or pooled(self, c, *a))
+    for rows in (48, 1):
+        groups.clear()
+        monkeypatch.setattr(nn, "_REFINER_GROUP_BYTES", 8 * 32 * rows)
+        split = net.forward(coords, feats, cells, starts)
+        assert groups == ([47, 37] if rows == 48 else [40, 7, 25, 12])
+        assert relative_error(split.data, whole.data) <= 1e-12
+        split_grads = refiner_gradients(net, split, target)
+        for name, want in whole_grads.items():
+            assert relative_error(split_grads[name], want) <= 1e-12, (rows, name)
+
+
+def test_refiner_outputs_one_24_vector_per_proposal():
     rng = np.random.default_rng(11)
     net = RefinerNet(ref_cfg(), seed=0)
-    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(9, 6)), rng.integers(0, 9, 40))
-    assert out.shape == (24,)
+    out = net.forward(rng.normal(size=(40, 3)), rng.normal(size=(9, 6)), rng.integers(0, 9, 40),
+                      np.array([0, 10, 35]))
+    assert out.shape == (3, 24)
 
 
 def test_refiner_permutation_invariant():
+    # points within a proposal, feature rows, and the order of the proposals
     rng = np.random.default_rng(12)
-    coords = rng.normal(size=(30, 3))
-    feats = rng.normal(size=(8, 6))
-    cells = rng.integers(0, 8, 30)
+    _, coords, feats, cells, starts = next(frame_cases(rng))
     net = RefinerNet(ref_cfg(), seed=0)
-    a = net.forward(coords, feats, cells).data
-    perm, rows = rng.permutation(30), rng.permutation(8)
-    b = net.forward(coords[perm], feats[rows], np.argsort(rows)[cells[perm]]).data
-    assert np.allclose(a, b, atol=1e-9)
+    a = net.forward(coords, feats, cells, starts).data
+    perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in segments(starts, 84)])
+    rows = rng.permutation(len(feats))
+    b = net.forward(coords[perm], feats[rows], np.argsort(rows)[cells[perm]], starts).data
+    assert relative_error(b, a) <= 1e-12
+    order = [2, 0, 3, 1]
+    spans = segments(starts, 84)
+    idx = np.concatenate([np.arange(*spans[p]) for p in order])
+    sizes = [spans[p][1] - spans[p][0] for p in order]
+    c = net.forward(coords[idx], feats, cells[idx], np.cumsum([0] + sizes[:-1])).data
+    assert relative_error(c, a[order]) <= 1e-12
 
 
 def test_refiner_empty_proposal_raises():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(EmptyProposal):
-        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0, dtype=int))
+        net.forward(np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0, dtype=int), np.array([0]))
+
+
+@pytest.mark.parametrize("starts", [[0, 2, 2], [0, 5], [0, 0, 3]],
+                         ids=["inner", "last", "first"])
+def test_refiner_rejects_an_empty_segment(starts):
+    net = RefinerNet(ref_cfg(), seed=0)
+    with pytest.raises(EmptyProposal):
+        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), np.zeros(5, dtype=int), np.array(starts))
+
+
+@pytest.mark.parametrize("starts", [np.array([0, 3, 2]), np.array([0, 6]), np.array([1, 3]),
+                                    np.array([0, -1]), np.array([], dtype=int),
+                                    np.array([0.0, 2.0]), np.array([[0, 2]])],
+                         ids=["decreasing", "past the points", "not from 0", "negative", "none",
+                              "float", "2-d"])
+def test_refiner_rejects_bad_starts(starts):
+    net = RefinerNet(ref_cfg(), seed=0)
+    with pytest.raises(ShapeMismatch):
+        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), np.zeros(5, dtype=int), starts)
 
 
 def test_refiner_feature_shape_mismatch():
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), np.arange(5))
+        net.forward(np.zeros((5, 3)), np.zeros((5, 4)), np.arange(5), np.array([0]))
+    with pytest.raises(ShapeMismatch, match=r"coords \(5, 2\)"):
+        net.forward(np.zeros((5, 2)), np.zeros((5, 6)), np.arange(5), np.array([0]))
 
 
 @pytest.mark.parametrize("cells", [np.zeros(4, dtype=int), np.zeros(6, dtype=int),
@@ -874,7 +945,7 @@ def test_refiner_feature_shape_mismatch():
 def test_refiner_rejects_bad_cells(cells):
     net = RefinerNet(ref_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), cells)
+        net.forward(np.zeros((5, 3)), np.zeros((3, 6)), cells, np.array([0]))
 
 
 def test_refiner_corner_template_sets_initial_bias():
@@ -895,15 +966,51 @@ def test_refiner_gradient_finite_difference():
     coords = rng.normal(size=(15, 3))
     feats = rng.normal(size=(15, 6))
     cells = np.arange(15) % 4            # points share cells, so gate gradients add
+    starts = np.array([0, 1, 9])         # a one-point proposal among them
     net = RefinerNet(ref_cfg(), seed=0)
-    target = rng.normal(size=24)
+    target = rng.normal(size=(3, 24))
 
     def make_loss():
-        diff = net.forward(coords, feats, cells) + (-target)
+        diff = net.forward(coords, feats, cells, starts) + (-target)
         return (diff * diff).sum()
 
     params = [net.params.tensors[n] for n in net.params.names()]
     assert finite_diff_check(make_loss, params, n_coords=2) < 1e-4
+
+
+# ------------------------------------------------------------- segment_max
+def test_segment_max_equals_each_segments_max():
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(12, 5))
+    starts = np.array([0, 1, 4, 11])
+    got = nn.segment_max(Tensor(x), starts).data
+    want = np.stack([x[a:b].max(axis=0) for a, b in segments(starts, 12)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_segment_max_routes_gradient_to_the_first_argmax_of_each_segment():
+    # ties within segments and across them: Tensor.max's rule per segment
+    x = np.array([[1.0, 2.0], [1.0, 0.0], [3.0, 2.0], [0.0, 5.0], [3.0, 5.0], [3.0, 1.0]])
+    starts = np.array([0, 2, 5])
+    g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    xt = Tensor(x, requires_grad=True)
+    (nn.segment_max(xt, starts) * g).sum().backward()
+    want = np.zeros_like(x)
+    for p, (a, b) in enumerate(segments(starts, len(x))):
+        seg = Tensor(x[a:b], requires_grad=True)
+        (seg.max(axis=0) * g[p]).sum().backward()
+        want[a:b] = seg.grad
+    assert np.array_equal(xt.grad, want)
+    assert want[0].tolist() == [1.0, 2.0] and want[2].tolist() == [3.0, 0.0]
+
+
+def test_segment_max_gradient_finite_difference():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+    starts = np.array([0, 3, 4])
+    r = rng.normal(size=(3, 4))
+    assert finite_diff_check(lambda: (nn.segment_max(x, starts) * r).sum(), [x],
+                             n_coords=36) < 1e-4
 
 
 # -------------------------------------------------------------- Parameters

@@ -13,7 +13,7 @@ from fastpoint.geometry import Box3D
 from fastpoint.losses import corner_loss
 from fastpoint.nn import Parameters, RefinerNet, VoxelRPN
 from fastpoint.postprocess import Detection
-from fastpoint.refiner_features import build_box_feature
+from fastpoint.refiner_features import build_box_feature, stack_features
 from fastpoint.synthetic import generate_dataset
 from fastpoint.train import (Adam, SGD, _jitter_proposal, _lr_at, merge_parameters,
                              prepare_frames, rpn_loss)
@@ -143,7 +143,10 @@ def test_rpn_and_refiner_gradients_pinned():
     # sum ops. 150 of the 192 (frame, tensor) gradients moved, by <= 2.4e-15
     # of each tensor's largest entry (the conv biases before batch norm by
     # <= 1.1e-12 absolute); the regression head's and the refiner's did not
-    # move
+    # move. Re-pinned when the refiner came to run a frame's proposals as one
+    # batch, with one corner loss over their stacked targets: 17 of the 192
+    # (frame, tensor) gradients moved, all of them the refiner's, by
+    # <= 6.1e-16 of each tensor's largest entry (refiner/pn0/b)
     cfg = toy_config()
     spec = cfg.voxel_spec()
     frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 2, cfg.seed)
@@ -156,17 +159,18 @@ def test_rpn_and_refiner_gradients_pinned():
         refiner.params.zero_grad()
         rpn_loss(rpn, frame, cfg, train=True).backward()
         fused = rpn.forward(frame.grid)[2].data
-        loss = Tensor(0.0)
+        features, targets = [], []
         for gt in frame.gts:
             box = Box3D(gt.x + 0.2, gt.y - 0.1, gt.z, gt.l * 1.05, gt.w, gt.h, gt.theta + 0.1)
-            bf = build_box_feature(frame.pc, fused, box, spec, cfg.post.crop_margin)
-            pred = refiner.forward(bf.coords, bf.feats, bf.cells)
-            loss = loss + corner_loss(pred, encode_corners(gt, box), cfg.loss.sigma)
-        loss.backward()
+            features.append(build_box_feature(frame.pc, fused, box, spec, cfg.post.crop_margin))
+            targets.append(encode_corners(gt, box))
+        pred = refiner.forward(*stack_features(features))
+        # the sum of the proposals' corner losses
+        (corner_loss(pred, np.stack(targets), cfg.loss.sigma) * float(len(targets))).backward()
         for name, t in sorted({**rpn.params.tensors, **refiner.params.tensors}.items()):
             digest.update(name.encode() + (b"none" if t.grad is None else t.grad.tobytes()))
     assert digest.hexdigest() == (
-        "414343a7838c6eeb91ec2c778c8c166f4fbd461be535161b0e980d7d700284c7")
+        "463a2a498672e03f909fa28443b838ef9224d5350980c64639ca20cc7fb21ad5")
 
 
 def test_train_mode_rpn_loss_and_running_statistics_pinned():
@@ -187,6 +191,50 @@ def one_prepared_frame(cfg):
     frames = generate_dataset(cfg.synthetic.scene_spec(cfg.voxel_range), 1, cfg.seed)
     return prepare_frames(frames, cfg, build_anchor_grid(cfg.map_dims(), cfg.anchors.spec(),
                                                          cfg.voxel_spec()))
+
+
+def test_refiner_trains_one_forward_and_one_loss_per_frame(monkeypatch):
+    # the frame's loss is one corner loss over the stacked (P, 24) targets:
+    # its mean over P * 24 offsets is the mean of the per-sample losses, and
+    # its gradients equal theirs to 1e-12
+    cfg = toy_config()
+    cfg.train.refiner_epochs = 1
+    prepared = one_prepared_frame(cfg)
+    forwards, losses_seen = [], []
+    forward, corner = RefinerNet.forward, train.losses.corner_loss
+    monkeypatch.setattr(RefinerNet, "forward",
+                        lambda self, *a: forwards.append(a) or forward(self, *a))
+    monkeypatch.setattr(train.losses, "corner_loss",
+                        lambda *a: losses_seen.append(a) or corner(*a))
+    train.train_refiner(prepared, VoxelRPN(cfg.net_config(), seed=cfg.seed), cfg)
+    (batch,), ((_, targets, sigma),) = forwards, losses_seen
+    coords, feats, cells, starts = batch
+    assert len(starts) == len(targets) > 1 and targets.shape[1] == 24
+    monkeypatch.undo()
+
+    refiner = RefinerNet(cfg.refiner_config(), seed=cfg.seed + 1)
+    tensors = refiner.params.tensors
+
+    def gradients(make_loss):
+        refiner.params.zero_grad()
+        loss = make_loss()
+        loss.backward()
+        return loss.item(), {k: np.zeros(t.data.shape) if t.grad is None else t.grad
+                             for k, t in tensors.items()}
+
+    def per_sample():
+        loss = Tensor(0.0)
+        for p, (a, b) in enumerate(zip(starts, np.append(starts[1:], len(coords)))):
+            pred = refiner.forward(coords[a:b], feats, cells[a:b], np.array([0]))
+            loss = loss + corner_loss(pred, targets[p:p + 1], sigma)
+        return loss * (1.0 / len(starts))
+
+    got_loss, got = gradients(lambda: corner_loss(refiner.forward(*batch), targets, sigma))
+    want_loss, want = gradients(per_sample)
+    assert abs(got_loss - want_loss) <= 1e-12 * want_loss
+    for name in want:
+        err = np.max(np.abs(got[name] - want[name]), initial=0.0)
+        assert err <= 1e-12 * max(1.0, np.abs(want[name]).max()), (name, err)
 
 
 def test_empty_training_set_is_rejected():
