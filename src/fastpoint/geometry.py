@@ -282,12 +282,15 @@ def canonize_box(frame: Box3D, subject: Box3D) -> Box3D:
                  normalize_angle(subject.theta - frame.theta))
 
 
-def points_in_box(points: np.ndarray, b: Box3D, margin: float = 0.0) -> np.ndarray:
-    """Boolean mask of points (N, >=3) inside the box expanded by margin on every face.
+def crop_points(points: np.ndarray, b: Box3D, margin: float) -> tuple:
+    """The points (N, >=3) inside the box expanded by margin on every face:
+    their indices, ascending, and their (M, 3) coordinates in the box's frame,
+    byte-equal to canonize_points(b, points[indices, :3]).
 
     Only the points within the expanded box's axis-aligned BEV bounds, widened
-    by a rounding tolerance, and within its z range are canonized; the rest
-    cannot pass the canonized test, so the mask is that test's on every point.
+    by a rounding tolerance, and within its z range are canonized, once; the
+    rest cannot pass the canonized test, so the indices are that test's on
+    every point, and the kept rows of the one canonization are the coordinates.
     """
     if margin < 0:
         raise ValueError("margin must be non-negative")
@@ -301,6 +304,17 @@ def points_in_box(points: np.ndarray, b: Box3D, margin: float = 0.0) -> np.ndarr
                 # canonize_points' z is this same difference, so the test is exact
                 & (np.abs(pts[near, 2] - b.z) <= hh)]
     local = canonize_points(b, pts[near, :3])
-    mask = np.zeros(len(pts), dtype=bool)
-    mask[near] = (np.abs(local[:, 0]) <= hl) & (np.abs(local[:, 1]) <= hw)
+    keep = (np.abs(local[:, 0]) <= hl) & (np.abs(local[:, 1]) <= hw)
+    idx = near[keep]
+    if len(idx) == 1 < len(near):
+        # numpy multiplies a single row by gemv, which rounds unlike gemm's rows
+        return idx, canonize_points(b, pts[idx, :3])
+    return idx, local[keep]
+
+
+def points_in_box(points: np.ndarray, b: Box3D, margin: float = 0.0) -> np.ndarray:
+    """Boolean mask of points (N, >=3) inside the box expanded by margin on
+    every face: the indices of crop_points."""
+    mask = np.zeros(len(points), dtype=bool)
+    mask[crop_points(points, b, margin)[0]] = True
     return mask

@@ -21,10 +21,13 @@ refiner is a PointNet over canonized in-box points whose coordinate
 embedding is fused with indexed backbone features through a learned
 sigmoid attention gate. Each of its layers normalizes by a per-channel
 affine pair (scale and shift, no statistics), so a proposal's absolute
-coordinate scale survives. It takes a frame's proposals as one ragged
-batch: their points concatenated, and the first row of each. The gate
-depends on a point's BEV cell alone, so it is computed once per cell and
-gathered per point. The points run through the PointNet in groups of whole
+coordinate scale survives. Every pair but the last PointNet layer's is
+folded into its layer's weight and bias. It takes a frame's proposals as
+one ragged batch: their points concatenated, and the first row of each.
+The gate and the indexed feature depend on a point's BEV cell alone, so
+the gate and the feature half of the first PointNet layer are computed
+once per cell and gathered per point, and each point multiplies only its
+coordinate half. The points run through the PointNet in groups of whole
 proposals of bounded width, and one segment max (``segment_max``) pools
 each proposal's rows of the last layer's ``h @ w``, before that layer's
 bias, norm and ReLU, which run on the pooled rows only.
@@ -329,6 +332,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x @ w + b
 
 
+def _slice(x: Tensor, index) -> Tensor:
+    """x.data[index] as a graph node; backward writes its gradient into the
+    sliced entries of a zero array of x's shape."""
+    def backward(g):
+        gx = np.zeros(x.shape)
+        gx[index] = g
+        return (gx,)
+
+    return ad.node((x,), x.data[index], backward)
+
+
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """(P, C) max over the rows of x (N, C) of each segment: rows
     starts[p] .. starts[p + 1] - 1, the last running to N. starts must rise
@@ -599,15 +613,15 @@ class VoxelRPN:
 
 
 # --------------------------------------------------------------- RefinerNet
-# Bytes of the refiner's widest activation per group of proposals. Measured
-# with the toy config (128 channels at the widest, so 1,024 rows) on a 2-vCPU
-# VM, under glibc malloc's default thresholds: a dense frame's forward (~30k
-# points over ~28 proposals) took 42 ms, against 45 ms at 2 MiB, 65 ms at
-# 4 MiB (conv_nd's _CHUNK_BYTES) and 100 ms as one group; a training frame
-# update (~1,500 points) took 8-10 ms, against 13-15 ms at 4 MiB, where its
-# larger arrays cost ~3,000 page faults per update. With malloc's thresholds
-# pinned high (as the benchmark pins them) the forward reads 41 ms at every
-# budget and the update 8.3 ms here against 7.5 ms at 4 MiB
+# Bytes of the refiner's widest per-point activation per group of proposals.
+# Measured with the toy config (128 channels at the widest, so 1,024 rows) on
+# a 2-vCPU VM, under glibc malloc's default thresholds: a dense frame's
+# forward (~30k cropped points) took 34 ms, against 34 ms at 2 MiB, 37 ms at
+# 4 MiB (conv_nd's _CHUNK_BYTES) and 61 ms as one group; a training frame
+# update (~1,600 points) took 10.4 ms, against 9.7 ms at 2 and at 4 MiB,
+# within the spread between runs. With malloc's thresholds pinned high (as the benchmark
+# pins them) the forward reads 31, 31, 32 and 46 ms at these budgets, and the
+# update 8.8, 9.1, 8.1 and 8.3 ms
 _REFINER_GROUP_BYTES = 1 << 20
 
 @dataclass(frozen=True)
@@ -662,23 +676,28 @@ class RefinerNet:
     def _p(self, name):
         return self.params.tensors[name]
 
-    def _norm(self, x, name):
-        c = x.shape[1]
-        return self._p(name + "/scale").reshape(1, c) * x + self._p(name + "/shift").reshape(1, c)
+    def _folded(self, name):
+        """Layer name's (w, b) with its affine norm folded in: (w * scale,
+        b * scale + shift), as graph nodes, so gradients reach the four."""
+        scale, shift = self._p(name + "/bn/scale"), self._p(name + "/bn/shift")
+        return self._p(name + "/w") * scale, self._p(name + "/b") * scale + shift
 
-    def _pooled(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray, gate: Tensor,
-                starts: np.ndarray, last: tuple) -> Tensor:
+    def _pooled(self, coords: np.ndarray, cells: np.ndarray, starts: np.ndarray, coord: tuple,
+                gate: Tensor, w0: tuple, layers: list, last: tuple) -> Tensor:
         """The PointNet on a group of whole proposals: (P_g, C) rows, each the
-        max-pool over one proposal's points of the last layer, whose
-        sign-folded weights and norm are last = (w, b, scale, shift)."""
-        c = linear(Tensor(coords), self._p("refiner/coord/w"), self._p("refiner/coord/b"))
-        c = ad.relu(self._norm(c, "refiner/coord/bn"))
-        h = ad.concat([c, Tensor(feats[cells])], axis=1) * ad.take(gate, cells)
-        for i in range(len(self.cfg.pointnet) - 1):
-            h = linear(h, self._p(f"refiner/pn{i}/w"), self._p(f"refiner/pn{i}/b"))
-            h = ad.relu(self._norm(h, f"refiner/pn{i}/bn"))
-        w, b, scale, shift = last
-        return ad.relu(scale * (segment_max(h @ w, starts) + b) + shift)
+        max-pool over one proposal's points of the last layer. coord is the
+        coordinate embedding's folded (w, b); gate the coordinate half of the
+        per-cell gate; w0 = (w, rows), the coordinate rows of the first
+        PointNet weight and the per-cell rest of that layer; layers the
+        folded (w, b) of the layers after it (b None for the last, whose
+        sign-folded bias and norm are last = (b, scale, shift))."""
+        c = ad.relu(linear(Tensor(coords), *coord))
+        w, rows = w0
+        h = (c * ad.take(gate, cells)) @ w + ad.take(rows, cells)
+        for w, b in layers:
+            h = ad.relu(h) @ w if b is None else linear(ad.relu(h), w, b)
+        b, scale, shift = last
+        return ad.relu(scale * (segment_max(h, starts) + b) + shift)
 
     def forward(self, coords: np.ndarray, feats: np.ndarray, cells: np.ndarray,
                 starts: np.ndarray) -> Tensor:
@@ -714,32 +733,41 @@ class RefinerNet:
             raise ShapeMismatch(f"starts must rise within the {n} points")
         if sizes.min() == 0:
             raise EmptyProposal(f"proposal {int(np.argmin(sizes))} contains no points")
-        # the gate reads the cell's features alone: one row per cell,
-        # gathered per point
-        gate = ad.sigmoid(linear(Tensor(feats), self._p("refiner/att/w"), self._p("refiner/att/b")))
         # the max-pool over points comes before the last layer's bias, norm and
         # ReLU. Each channel is monotone in h @ w, rising where its norm scale
         # is >= 0 and falling where it is < 0, and rounding keeps that order.
         # Negating a falling channel's w, b and scale is exact and makes it
         # rising, so the pool takes each channel's largest entry of
-        # h @ (w * sign), and bias, norm and ReLU run on the pooled rows alone
-        name = f"refiner/pn{len(cfg.pointnet) - 1}"
+        # h @ (w * sign), and bias, norm and ReLU run on the pooled rows alone.
+        # Every other layer's norm folds into its w and b
+        depth, d = len(cfg.pointnet), cfg.coord_dim
+        name = f"refiner/pn{depth - 1}"
         scale = self._p(name + "/bn/scale")
         sign = np.where(scale.data >= 0, 1.0, -1.0)
         c = len(sign)
-        last = (self._p(name + "/w") * sign, self._p(name + "/b") * sign,
-                (scale * sign).reshape(1, c), self._p(name + "/bn/shift").reshape(1, c))
-        # groups of whole proposals whose widest activation stays within
-        # _REFINER_GROUP_BYTES; a larger proposal is a group alone
-        rows = _REFINER_GROUP_BYTES // (8 * max(cfg.coord_dim + cfg.feature_channels,
-                                                *cfg.pointnet))
+        last = (self._p(name + "/b") * sign, (scale * sign).reshape(1, c),
+                self._p(name + "/bn/shift").reshape(1, c))
+        layers = [self._folded(f"refiner/pn{i}") for i in range(depth - 1)]
+        layers.append((self._p(name + "/w") * sign, None))
+        # the gate and the feature half of the first PointNet layer read the
+        # cell's features alone: one row per cell, gathered per point
+        f, att_w, att_b = Tensor(feats), self._p("refiner/att/w"), self._p("refiner/att/b")
+        gate = ad.sigmoid(linear(f, _slice(att_w, np.s_[:, :d]), _slice(att_b, np.s_[:d])))
+        f = f * ad.sigmoid(linear(f, _slice(att_w, np.s_[:, d:]), _slice(att_b, np.s_[d:])))
+        w, b = layers.pop(0)
+        cell_rows = f @ _slice(w, np.s_[d:])
+        w0 = (_slice(w, np.s_[:d]), cell_rows if b is None else cell_rows + b)
+        coord = self._folded("refiner/coord")
+        # groups of whole proposals whose widest per-point activation stays
+        # within _REFINER_GROUP_BYTES; a larger proposal is a group alone
+        rows = _REFINER_GROUP_BYTES // (8 * max(d, *cfg.pointnet))
         ends = starts + sizes
         pooled, first = [], 0
         for p in range(1, len(starts) + 1):
             if p == len(starts) or ends[p] - starts[first] > rows:
                 lo, hi = starts[first], ends[p - 1]
-                pooled.append(self._pooled(coords[lo:hi], feats, cells[lo:hi], gate,
-                                           starts[first:p] - lo, last))
+                pooled.append(self._pooled(coords[lo:hi], cells[lo:hi], starts[first:p] - lo,
+                                           coord, gate, w0, layers, last))
                 first = p
         g = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
         for i in range(len(cfg.head)):

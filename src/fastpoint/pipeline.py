@@ -13,7 +13,6 @@ from . import geometry, refiner_features
 from .anchors import AnchorSet, build_anchor_grid, decode_corners
 from .autodiff import no_grad
 from .config import PipelineConfig, PostParams
-from .errors import EmptyProposal
 from .kitti import PointCloud
 from .nn import RefinerNet, VoxelRPN
 from .postprocess import (DegenerateCorners, Detection, corners_to_box,
@@ -67,18 +66,13 @@ def infer_frame(frame_id: str, pc: PointCloud, rpn: VoxelRPN,
         return FrameResult(frame_id, list(proposals), proposals, times)
 
     t0 = time.perf_counter()
-    features, cropped = [], []
-    for i, det in enumerate(proposals):
-        try:
-            features.append(refiner_features.build_box_feature(
-                pc, fused.data, det.box, spec, cfg.post.crop_margin))
-        except EmptyProposal:
-            continue                 # pointless to refine without points: the box stays
-        cropped.append(i)
+    # a box whose crop holds no points stays as proposed
+    batch, cropped = refiner_features.refiner_features(
+        pc, fused.data, [det.box for det in proposals], spec, cfg.post.crop_margin)
     refined = list(proposals)
-    if features:
+    if batch is not None:
         with no_grad():
-            preds = refiner.forward(*refiner_features.stack_features(features)).data
+            preds = refiner.forward(*batch).data
         for i, pred in zip(cropped, preds):
             det = proposals[i]
             try:

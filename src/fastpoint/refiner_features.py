@@ -1,7 +1,7 @@
-"""Per-proposal box features for the refinement stage: crop points near
-the proposal, canonize them into its frame, and index each point's BEV cell
-of the backbone feature map; then stack a frame's proposals into the one
-ragged batch that the refiner takes."""
+"""Per-proposal box features for the refinement stage: crop the points near
+the proposal with their coordinates in its frame, and index each point's BEV
+cell of the backbone feature map; then stack a frame's proposals into the
+one ragged batch that the refiner takes."""
 
 from __future__ import annotations
 
@@ -40,20 +40,19 @@ def cell_index(points_xy: np.ndarray, map_dims, world_extent, world_origin) -> n
 def build_box_feature(pc: PointCloud, feature_map: np.ndarray, proposal: Box3D,
                       spec: VoxelSpec, margin: float) -> BoxFeature:
     """Crop the points within the proposal expanded by margin (meters of
-    context, non-negative; input order kept), canonize them, and index
-    backbone features: one row per distinct BEV cell, in cell order; raises
-    EmptyProposal when no point survives the crop.
+    context, non-negative; input order kept) with their canonized
+    coordinates, and index backbone features: one row per distinct BEV cell,
+    in cell order; raises EmptyProposal when no point survives the crop.
 
     feature_map: (C_F, L_F, W_F) with axes (channel, x-cells, y-cells),
     spanning the BEV extent of the voxel grid of spec.
     """
-    pts = pc.points[geometry.points_in_box(pc.points, proposal, margin)]
-    if len(pts) == 0:
+    idx, coords = geometry.crop_points(pc.points, proposal, margin)
+    if len(idx) == 0:
         raise EmptyProposal("no points within margin of proposal")
-    coords = geometry.canonize_points(proposal, pts[:, :3])
     (x0, x1), (y0, y1), _ = spec.axis_range
     c_f = feature_map.shape[0]
-    flat = cell_index(pts[:, :2], feature_map.shape[1:], (x1 - x0, y1 - y0), (x0, y0))
+    flat = cell_index(pc.points[idx, :2], feature_map.shape[1:], (x1 - x0, y1 - y0), (x0, y0))
     cells, rows = np.unique(flat, return_inverse=True)
     return BoxFeature(coords, feature_map.reshape(c_f, -1)[:, cells].T, rows)
 
@@ -70,3 +69,18 @@ def stack_features(features: list) -> tuple:
             np.concatenate([f.feats for f in features]),
             np.concatenate([f.cells + o for f, o in zip(features, offsets)]),
             np.cumsum(sizes) - sizes)
+
+
+def refiner_features(pc: PointCloud, feature_map: np.ndarray, boxes: list, spec: VoxelSpec,
+                     margin: float) -> tuple:
+    """The refiner's batch of a frame's boxes: (batch, kept), where kept
+    lists the indices of the boxes whose crop holds points and batch is
+    stack_features of their BoxFeatures, or None when no box holds one."""
+    features, kept = [], []
+    for i, box in enumerate(boxes):
+        try:
+            features.append(build_box_feature(pc, feature_map, box, spec, margin))
+        except EmptyProposal:
+            continue                 # pointless to refine without points
+        kept.append(i)
+    return (stack_features(features) if features else None), kept

@@ -274,9 +274,9 @@ def run_selftest(quick: bool = True, report=print) -> bool:
             case("segment_max", lambda x: segment_max(x, np.array([0, 1, 4])), ((7, 3),), seed)
 
         # the batched refiner against one forward per proposal, one-point
-        # proposals among them: outputs and every gradient to 1e-12
-        net = RefinerNet(RefinerConfig(feature_channels=4, corner_template=(0.0,) * 24,
-                                       coord_dim=8, pointnet=(16, 32), head=(16,)), seed=0)
+        # proposals among them, with a two-layer PointNet and a one-layer one
+        # (whose first layer is its sign-folded last): outputs and every
+        # gradient to 1e-12
         rng = np.random.default_rng(30)
         sizes = np.array([1, 9, 30, 1, 14])
         n, starts = sizes.sum(), np.cumsum(sizes) - sizes
@@ -284,19 +284,23 @@ def run_selftest(quick: bool = True, report=print) -> bool:
             rng.integers(0, 12, n)
         r = rng.normal(size=(len(sizes), 24))
 
-        def outputs_and_gradients(forward):
+        def outputs_and_gradients(net, forward):
             net.params.zero_grad()
             out = forward()
             (out * r).sum().backward()
             return [out.data] + [t.grad for t in net.params.tensors.values()]
 
-        batched = outputs_and_gradients(lambda: net.forward(coords, feats, cells, starts))
-        single = outputs_and_gradients(lambda: concat(
-            [net.forward(coords[a:b], feats, cells[a:b], np.array([0]))
-             for a, b in zip(starts, starts + sizes)], axis=0))
-        for got, want in zip(batched, single):
-            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
-            assert err <= 1e-12, f"batched refiner: relative error {err} vs per-proposal forwards"
+        for pointnet in ((16, 32), (16,)):
+            net = RefinerNet(RefinerConfig(feature_channels=4, corner_template=(0.0,) * 24,
+                                           coord_dim=8, pointnet=pointnet, head=(16,)), seed=0)
+            batched = outputs_and_gradients(net, lambda: net.forward(coords, feats, cells, starts))
+            single = outputs_and_gradients(net, lambda: concat(
+                [net.forward(coords[a:b], feats, cells[a:b], np.array([0]))
+                 for a, b in zip(starts, starts + sizes)], axis=0))
+            for got, want in zip(batched, single):
+                err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+                assert err <= 1e-12, (f"batched refiner {pointnet}: relative error {err} vs "
+                                      f"per-proposal forwards")
 
         # the loss nodes on every coordinate, at their kinks: probabilities
         # clamped on either side (zero gradient), tied negatives all kept or

@@ -14,7 +14,6 @@ from . import geometry, losses, refiner_features
 from .anchors import assign_targets, build_anchor_grid, encode_corners
 from .autodiff import no_grad
 from .config import PipelineConfig
-from .errors import EmptyProposal
 from .kitti import PointCloud
 from .nn import Parameters, RefinerNet, VoxelRPN
 from .pipeline import select_proposals
@@ -203,16 +202,11 @@ def train_refiner(prepared: list, rpn: VoxelRPN, cfg: PipelineConfig,
         for gt in frame.gts:
             for _ in range(cfg.train.refiner_jitter):
                 boxes.append((_jitter_proposal(gt, rng, cfg.post.refiner_pos_iou), gt))
-        features, targets = [], []
-        for box, gt in boxes:
-            try:
-                features.append(refiner_features.build_box_feature(
-                    frame.pc, fused, box, spec, cfg.post.crop_margin))
-            except EmptyProposal:
-                continue
-            targets.append(encode_corners(gt, box))
-        if features:
-            cache.append((refiner_features.stack_features(features), np.stack(targets)))
+        batch, kept = refiner_features.refiner_features(
+            frame.pc, fused, [box for box, _ in boxes], spec, cfg.post.crop_margin)
+        if batch is not None:
+            targets = [encode_corners(boxes[i][1], boxes[i][0]) for i in kept]
+            cache.append((batch, np.stack(targets)))
     if not cache:
         raise ValueError(f"train_refiner: none of the {len(prepared)} frames yields a sample "
                          f"(no proposal above refiner_pos_iou {cfg.post.refiner_pos_iou} "

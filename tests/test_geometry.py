@@ -287,6 +287,14 @@ def planted_points(b, margin, rng):
     return np.vstack([base] + moved + [around])
 
 
+def assert_crop_points(pts, b, margin, want):
+    """crop_points keeps the points of the mask want, in input order, and
+    its coordinates are canonize_points' of those points, byte for byte."""
+    idx, coords = geometry.crop_points(pts, b, margin)
+    assert np.array_equal(idx, np.flatnonzero(want))
+    assert coords.tobytes() == geometry.canonize_points(b, pts[idx, :3]).tobytes()
+
+
 def test_points_in_box_matches_references_on_planted_boundary_points():
     rng = np.random.default_rng(16)
     thetas = [0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4, -3 * math.pi / 4]
@@ -301,6 +309,7 @@ def test_points_in_box_matches_references_on_planted_boundary_points():
             got = geometry.points_in_box(pts, b, margin)
             ref = reference_points_in_box(pts, b, margin)
             assert got.tobytes() == ref.tobytes(), (theta, margin)
+            assert_crop_points(pts, b, margin, ref)
             brute = brute_force_points_in_box(pts, b, margin)
             # the two references round the canonized coordinates differently
             # (a matmul against Python's per-term products), so on a face
@@ -321,7 +330,22 @@ def test_points_in_box_matches_bruteforce():
     pts = rng.uniform(-3, 3, size=(500, 3))
     for margin in (0.0, 0.3):
         got = geometry.points_in_box(pts, box, margin)
-        assert np.array_equal(got, brute_force_points_in_box(pts, box, margin))
+        brute = brute_force_points_in_box(pts, box, margin)
+        assert np.array_equal(got, brute)
+        assert_crop_points(pts, box, margin, brute)
+
+
+def test_crop_points_keeps_one_point_among_near_ones():
+    # the one point inside each box shares its axis-aligned bounds with two
+    # outside it, so one row of the three canonized is kept: numpy multiplies
+    # a single row by gemv, whose rounding differs from gemm's rows
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        b = Box3D(*rng.uniform(-20, 20, 3), 4.0, 1.0, 2.0, math.pi / 4 + rng.uniform(-0.1, 0.1))
+        corners = np.array([[0.0, 1.2, 0.0], [0.5, -1.2, 0.0]])
+        local = np.vstack([rng.uniform(-0.4, 0.4, (1, 3)), corners])
+        pts = geometry.uncanonize_points(b, local)[[1, 0, 2]]
+        assert_crop_points(pts, b, 0.0, brute_force_points_in_box(pts, b, 0.0))
 
 
 def test_points_in_box_accepts_4_column_clouds():

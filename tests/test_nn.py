@@ -794,24 +794,28 @@ def frame_cases(rng):
 
 def refiner_variants():
     """Seeded nets, then with signed and zero norm scales, then with channels
-    of the last PointNet layer that the ReLU cuts off on every point."""
-    net = RefinerNet(ref_cfg(), seed=0)
-    yield "seeded", net
-    net = RefinerNet(ref_cfg(), seed=0)
-    rng = np.random.default_rng(21)
-    for name, t in net.params.tensors.items():
-        if name.endswith("/scale"):
-            t.data[:] = rng.choice([-1.5, -0.5, 0.0, 0.7, 2.0], size=t.data.shape)
-        elif name.endswith("/shift"):
-            t.data[:] = rng.normal(size=t.data.shape)
-    yield "signed scales", net
-    net = RefinerNet(ref_cfg(), seed=0)
-    last = f"refiner/pn{len(net.cfg.pointnet) - 1}"
-    w = net.params.tensors[last + "/w"].data
-    w[:, ::3] = -np.abs(w[:, ::3])                      # h >= 0, so h @ w <= 0 there
-    net.params.tensors[last + "/bn/shift"].data[::3] = -50.0
-    net.params.tensors[last + "/bn/scale"].data[1::3] = -1.0
-    yield "dead channels", net
+    of the last PointNet layer that the ReLU cuts off on every point; each
+    with ref_cfg's two-layer PointNet, then with one layer (the first is the
+    last, sign-folded) and with three (a middle layer's norm is folded)."""
+    for pointnet in ((16, 32), (16,), (16, 24, 32)):
+        net = RefinerNet(ref_cfg(pointnet=pointnet), seed=0)
+        yield "seeded", net
+        net = RefinerNet(ref_cfg(pointnet=pointnet), seed=0)
+        rng = np.random.default_rng(21)
+        for name, t in net.params.tensors.items():
+            if name.endswith("/scale"):
+                t.data[:] = rng.choice([-1.5, -0.5, 0.0, 0.7, 2.0], size=t.data.shape)
+            elif name.endswith("/shift"):
+                t.data[:] = rng.normal(size=t.data.shape)
+        yield "signed scales", net
+        net = RefinerNet(ref_cfg(pointnet=pointnet), seed=0)
+        last = f"refiner/pn{len(net.cfg.pointnet) - 1}"
+        w = net.params.tensors[last + "/w"].data
+        # -50 cuts every third channel off; past a ReLU h >= 0, so h @ w <= 0
+        w[:, ::3] = -np.abs(w[:, ::3])
+        net.params.tensors[last + "/bn/shift"].data[::3] = -50.0
+        net.params.tensors[last + "/bn/scale"].data[1::3] = -1.0
+        yield "dead channels", net
 
 
 def relative_error(got, want):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fastpoint import refiner_features as rf
+
 from fastpoint.geometry import Box3D, points_in_box
 from fastpoint.errors import EmptyProposal
 from fastpoint.kitti import PointCloud
-from fastpoint.refiner_features import BoxFeature, build_box_feature, cell_index
+from fastpoint.refiner_features import (BoxFeature, build_box_feature, cell_index,
+                                        stack_features)
 from fastpoint.voxels import VoxelSpec
 
 
@@ -134,3 +137,22 @@ def test_build_box_feature_maps_the_voxel_range_onto_the_feature_map():
     bf = build_box_feature(pc, fmap, Box3D(14, -2, 0, 10, 10, 2, 0),
                            spec((10.0, 18.0), (-6.0, 2.0)), 0.3)
     assert bf.feats[bf.cells, 0].tolist() == [fmap[0, 0, 0], fmap[0, 3, 3], fmap[0, 1, 2]]
+
+
+def test_refiner_features_batches_the_boxes_whose_crop_holds_points(monkeypatch):
+    rng = np.random.default_rng(2)
+    fmap = rng.normal(size=(3, 8, 8))
+    pc = PointCloud(np.column_stack([rng.uniform(0.0, 8.0, (200, 2)),
+                                     rng.uniform(-1.0, 1.0, (200, 2))]))
+    sp = spec((0.0, 8.0), (0.0, 8.0))
+    boxes = [Box3D(2.0, 2.0, 0.0, 2.0, 1.0, 2.0, 0.3), Box3D(50.0, 50.0, 0.0, 1.0, 1.0, 1.0, 0.0),
+             Box3D(6.0, 5.0, 0.0, 3.0, 2.0, 2.0, -1.1), Box3D(4.0, 4.0, 9.0, 1.0, 1.0, 1.0, 0.0)]
+    # the crops run through the module's build_box_feature, where a tracer wraps it
+    calls = []
+    monkeypatch.setattr(rf, "build_box_feature",
+                        lambda *a: calls.append(a[2]) or build_box_feature(*a))
+    batch, kept = rf.refiner_features(pc, fmap, boxes, sp, 0.3)
+    assert calls == boxes and kept == [0, 2]
+    want = stack_features([build_box_feature(pc, fmap, boxes[i], sp, 0.3) for i in kept])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(batch, want))
+    assert rf.refiner_features(pc, fmap, boxes[1::2], sp, 0.3) == (None, [])
